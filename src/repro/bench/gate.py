@@ -18,12 +18,7 @@ checks:
   or silently partial answer has failed regardless of how fast it is.
 
 The fresh run replays the committed artifact's own scale and seed, so
-the comparison is workload-identical by construction.  One exception:
-the labels artifact commits a ``campus`` section (13k+ doors, the
-at-scale evidence) *and* a ``quick`` section, and the gate replays only
-the latter — rebuilding a campus-sized labeling on every gate run costs
-minutes of CPU for no extra regression signal, and the label-compactness
-ratio regresses at every scale or at none.
+the comparison is workload-identical by construction.
 """
 
 from __future__ import annotations
@@ -126,10 +121,9 @@ def _fresh_shard(committed: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def _fresh_labels(committed: Dict[str, Any]) -> Dict[str, Any]:
-    from repro.bench.labels import LABELS_QUICK, measure_labels
+    from repro.bench.labels import measure_labels_artifact
 
-    seed = int(committed.get("seed", 0))
-    return {"seed": seed, "quick": measure_labels(LABELS_QUICK, seed=seed)}
+    return measure_labels_artifact(seed=int(committed.get("seed", 0)))
 
 
 def _fresh_overload(committed: Dict[str, Any]) -> Dict[str, Any]:

@@ -8,7 +8,9 @@ single-building scale of §VI.  For one scale the harness:
   :mod:`repro.synthetic.campus` composite at campus scale;
 * builds the **labels** framework and, where feasible, the **dense**
   framework, recording build wall time and resident bytes from
-  ``memory_report()``;
+  ``memory_bytes()``; for the labels index it also records
+  ``measured_bytes``, what tracemalloc sees a second build keep alive,
+  as the check on that figure;
 * at campus scale the dense matrices are *not* materialised (two N×N
   float64/int64 arrays are gigabytes at 13k+ doors — that infeasibility
   is the point of the backend); their footprint is reported analytically
@@ -24,9 +26,8 @@ The headline outputs are ``bytes_ratio`` (dense resident bytes over
 labels resident bytes — >1 means the labeling is smaller) and
 ``mismatches`` (asserted 0: the backend is exact or it is wrong).
 ``repro bench --gate`` regression-guards both through the committed
-``BENCH_labels.json`` (see :mod:`repro.bench.gate`: the gate replays the
-artifact's affordable ``quick`` section, while the committed campus
-section stands as the at-scale evidence).
+``BENCH_labels.json``, which holds the ``quick`` section (see
+:mod:`repro.bench.gate`).
 
 Scale is selected through ``REPRO_BENCH_SCALE`` like every other
 harness: ``quick`` (default, seconds), ``paper`` (the paper's ~1 300-door
@@ -35,17 +36,20 @@ building), or ``campus`` (a ten-building composite, ~10x paper).
 
 from __future__ import annotations
 
+import gc
 import os
 import random
 import time
+import tracemalloc
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy.sparse.csgraph import dijkstra
 
+from repro.distance.matrix import door_graph_csr, door_graph_edges
 from repro.index.framework import IndexFramework
-from repro.labels.builder import door_graph_csr
+from repro.labels import LabeledDistanceIndex
 from repro.synthetic import (
     BuildingConfig,
     CampusConfig,
@@ -155,13 +159,11 @@ def _canonical_reference(
     """Exact distances for ``pairs`` from fresh per-source Dijkstra rows —
     the same assembly and fold the dense matrix builder uses, so the
     values are canonical down to the last bit."""
-    from repro.distance.matrix import _door_graph_edges
-
     graph = space.distance_graph
     graph.precompute()
     door_ids = tuple(space.topology.door_ids)
     index_of = {door_id: i for i, door_id in enumerate(door_ids)}
-    adjacency = door_graph_csr(door_ids, _door_graph_edges(graph))
+    adjacency = door_graph_csr(door_ids, door_graph_edges(graph))
     sources = sorted({index_of[u] for u, _ in pairs})
     rows = np.atleast_2d(dijkstra(adjacency, directed=True, indices=sources))
     row_of = {u: rows[k] for k, u in enumerate(sources)}
@@ -170,6 +172,21 @@ def _canonical_reference(
         u, v = index_of[u_id], index_of[v_id]
         reference[(u_id, v_id)] = 0.0 if u == v else float(row_of[u][v])
     return reference
+
+
+def _retained_bytes(graph) -> int:
+    """Bytes tracemalloc sees a labels build keep alive; ``graph`` is
+    precomputed, so only the index itself is counted."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        index = LabeledDistanceIndex.build(graph)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return retained
 
 
 def _time_queries(
@@ -198,6 +215,7 @@ def measure_labels(
     labels_build_s = time.perf_counter() - start
     labels_index = labeled.distance_index
     labels_bytes = labels_index.memory_bytes()
+    measured_bytes = _retained_bytes(space.distance_graph)
     stats = dict(labels_index.labeling.stats)
 
     pairs = _sample_pairs(labels_index.door_ids, scale.sample_pairs, seed)
@@ -234,11 +252,11 @@ def measure_labels(
         "labels": {
             "build_s": labels_build_s,
             "bytes": int(labels_bytes),
+            "measured_bytes": int(measured_bytes),
             "entries": int(stats.get("entries", 0)),
             "entries_per_door": (
                 stats.get("entries", 0) / doors if doors else 0.0
             ),
-            "corrections": int(stats.get("corrections", 0)),
             "query_us": labels_query_us,
         },
         "dense": dense,
@@ -249,23 +267,9 @@ def measure_labels(
 
 
 def measure_labels_artifact(seed: int = 0) -> Dict[str, Any]:
-    """The two-scale result committed as ``BENCH_labels.json``.
-
-    The ``campus`` section is the at-scale evidence (dense analytic, the
-    labeling must win on resident bytes); the ``quick`` section is what
-    ``repro bench --gate`` replays on every run — rebuilding a 13k-door
-    labeling per gate invocation would cost minutes of CPU for no extra
-    regression signal, so the affordable scale carries the gate.
-    """
-    campus = measure_labels(LABELS_CAMPUS, seed=seed)
-    quick = measure_labels(LABELS_QUICK, seed=seed)
-    return {
-        "seed": seed,
-        "campus": campus,
-        "quick": quick,
-        "bytes_ratio": campus["bytes_ratio"],
-        "mismatches": campus["mismatches"] + quick["mismatches"],
-    }
+    """The result committed as ``BENCH_labels.json``: the ``quick`` scale,
+    which ``repro bench --gate`` replays on every run."""
+    return {"seed": seed, "quick": measure_labels(LABELS_QUICK, seed=seed)}
 
 
 def render_labels_summary(result: Dict[str, Any]) -> str:
@@ -283,9 +287,9 @@ def render_labels_summary(result: Dict[str, Any]) -> str:
         f"  doors: {result['doors']} "
         f"({result['buildings']} building(s) x {result['floors']} floors)",
         f"  labels: {labels['build_s']:.2f} s build, "
-        f"{labels['bytes'] / 1e6:.1f} MB resident, "
+        f"{labels['bytes'] / 1e6:.1f} MB resident "
+        f"({labels['measured_bytes'] / 1e6:.1f} MB measured), "
         f"{labels['entries_per_door']:.1f} entries/door, "
-        f"{labels['corrections']} corrections, "
         f"{labels['query_us']:.1f} us/query",
         f"  dense:  {dense_build}"
         f"{dense['bytes'] / 1e6:.1f} MB resident"

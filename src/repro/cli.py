@@ -36,7 +36,7 @@ Commands:
   the dense M_d2d/M_idx pair (build time, resident bytes, bitwise
   agreement on sampled pairs; scale via ``REPRO_BENCH_SCALE``, plus a
   ``campus`` scale where the dense matrices are analytic-only);
-  ``--artifact`` measures the committed two-scale ``BENCH_labels.json``;
+  ``--artifact`` measures the committed ``BENCH_labels.json``;
 * ``overload-bench [--json OUT.json] [--seed N]`` — open-loop flash
   crowd: an unprotected :class:`~repro.serve.QueryService` driven past
   its collapse point, then the adaptive limiter + shed policy offered
@@ -595,22 +595,21 @@ def _cmd_labels_bench(args: argparse.Namespace) -> int:
 
     if args.artifact:
         result = measure_labels_artifact(seed=args.seed)
-        print(render_labels_summary(result["campus"]))
-        print(render_labels_summary(result["quick"]))
+        summary = result["quick"]
     else:
         scale = current_labels_scale()
         print(
             f"# scale: {scale.name} "
             "(set REPRO_BENCH_SCALE=paper|campus for larger runs)"
         )
-        result = measure_labels(scale, seed=args.seed)
-        print(render_labels_summary(result))
+        result = summary = measure_labels(scale, seed=args.seed)
+    print(render_labels_summary(summary))
     if args.json:
         with open(args.json, "w") as handle:
             json.dump(result, handle, indent=2, sort_keys=True)
             handle.write("\n")
         print(f"# wrote {args.json}")
-    return 0 if result["mismatches"] == 0 else 1
+    return 0 if summary["mismatches"] == 0 else 1
 
 
 def _cmd_overload_bench(args: argparse.Namespace) -> int:
@@ -1033,8 +1032,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     labels_bench.add_argument(
         "--artifact", action="store_true",
-        help="measure the committed two-scale BENCH_labels.json artifact "
-        "(campus evidence + the quick section the gate replays)",
+        help="measure the committed BENCH_labels.json artifact "
+        "(the quick section the gate replays)",
     )
     labels_bench.set_defaults(handler=_cmd_labels_bench)
 

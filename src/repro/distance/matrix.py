@@ -4,15 +4,20 @@ Two builders produce the same N×N matrix:
 
 * :func:`build_distance_matrix_reference` — the paper-faithful construction:
   one full Algorithm-1 expansion per source door.
-* :func:`build_distance_matrix` — a numerically identical bulk builder that
-  assembles the door graph (doors = nodes, finite f_d2d entries = directed
-  weighted edges, parallel edges reduced by minimum) into a sparse CSR matrix
-  and runs :func:`scipy.sparse.csgraph.dijkstra` over it.  On a 40-floor
-  synthetic building this is ~two orders of magnitude faster in CPython,
-  which matters because the paper's query experiments precompute the matrix
-  for buildings with ~1 300 doors.
+* :func:`build_distance_matrix` — a bulk builder that assembles the door
+  graph (:func:`door_graph_edges`: doors = nodes, finite f_d2d entries =
+  directed weighted edges, parallel edges reduced by minimum) into a sparse
+  CSR matrix (:func:`door_graph_csr`) and runs
+  :func:`scipy.sparse.csgraph.dijkstra` over it.  On a 40-floor synthetic
+  building this is ~two orders of magnitude faster in CPython, which
+  matters because the paper's query experiments precompute the matrix for
+  buildings with ~1 300 doors.
 
-Tests assert element-wise equality of the two builders on several topologies.
+The two are element-wise identical by construction: f_d2d weights are
+multiples of :data:`repro.model.distance_graph.WEIGHT_QUANTUM`, so every
+path sum is exact and the order in which a search adds the edges up cannot
+change a bit.  Tests assert the equality on several topologies.  The 2-hop
+labels backend (:mod:`repro.labels`) builds on the same two helpers.
 
 Matrix rows/columns are ordered by ascending door id; the mapping is returned
 alongside the matrix so callers never guess.
@@ -22,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -62,7 +67,7 @@ class DoorDistanceMatrix:
         return len(self.door_ids)
 
 
-def _door_graph_edges(
+def door_graph_edges(
     graph: DistanceAwareGraph,
 ) -> List[Tuple[int, int, float]]:
     """All finite f_d2d edges ``(from_door, to_door, weight)``, with parallel
@@ -86,6 +91,25 @@ def _door_graph_edges(
     return [(i, j, w) for (i, j), w in best.items()]
 
 
+def door_graph_csr(
+    door_ids: Sequence[int], edges: Sequence[Tuple[int, int, float]]
+) -> csr_matrix:
+    """The door graph as a CSR adjacency over matrix indices (row/column
+    ``i`` is ``door_ids[i]``)."""
+    n = len(door_ids)
+    index = {door_id: i for i, door_id in enumerate(door_ids)}
+    rows = np.fromiter(
+        (index[i] for i, _, _ in edges), dtype=np.int64, count=len(edges)
+    )
+    cols = np.fromiter(
+        (index[j] for _, j, _ in edges), dtype=np.int64, count=len(edges)
+    )
+    weights = np.fromiter(
+        (w for _, _, w in edges), dtype=np.float64, count=len(edges)
+    )
+    return csr_matrix((weights, (rows, cols)), shape=(n, n))
+
+
 def build_distance_matrix(graph: DistanceAwareGraph) -> DoorDistanceMatrix:
     """Bulk all-pairs builder over a sparse door graph (see module docs).
 
@@ -95,16 +119,9 @@ def build_distance_matrix(graph: DistanceAwareGraph) -> DoorDistanceMatrix:
     is exact, not an approximation.
     """
     door_ids = graph.space.topology.door_ids
-    n = len(door_ids)
-    index = {door_id: i for i, door_id in enumerate(door_ids)}
-    if n == 0:
+    if not door_ids:
         return DoorDistanceMatrix(np.zeros((0, 0)), ())
-
-    edges = _door_graph_edges(graph)
-    rows = np.fromiter((index[i] for i, _, _ in edges), dtype=np.int64, count=len(edges))
-    cols = np.fromiter((index[j] for _, j, _ in edges), dtype=np.int64, count=len(edges))
-    weights = np.fromiter((w for _, _, w in edges), dtype=np.float64, count=len(edges))
-    adjacency = csr_matrix((weights, (rows, cols)), shape=(n, n))
+    adjacency = door_graph_csr(door_ids, door_graph_edges(graph))
     matrix = dijkstra(adjacency, directed=True)
     np.fill_diagonal(matrix, 0.0)
     return DoorDistanceMatrix(matrix, door_ids)

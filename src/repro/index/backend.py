@@ -13,11 +13,11 @@ Backends are selected by name at build time::
 
     IndexFramework.build(space, backend="labels")
 
-Both shipped backends answer **bit-identically**: the labeled backend
-carries a sparse correction table recorded against the canonical
-per-source Dijkstra rows at construction time, so every ``distance()``
-value, every ``doors_by_distance`` scan order, and every
-``min_distance_between`` bound equals the dense matrix's answer exactly.
+Both shipped backends answer **bit-identically**: door-graph weights are
+multiples of :data:`repro.model.distance_graph.WEIGHT_QUANTUM`, so every
+path sum is exact in any order, and every ``distance()`` value, every
+``doors_by_distance`` scan order, and every ``min_distance_between``
+bound of the labeled backend equals the dense matrix's answer exactly.
 """
 
 from __future__ import annotations

@@ -25,6 +25,23 @@ from repro.index.rtree import PartitionRTree
 from repro.model.builder import IndoorSpace
 
 
+def build_distance_backend(
+    space: IndoorSpace, backend: str = "matrix", reference_matrix: bool = False
+) -> DistanceBackend:
+    """Precompute G_dist for ``space`` and build the named distance backend
+    over it (see :meth:`IndexFramework.build` for the arguments)."""
+    validate_backend(backend)
+    if reference_matrix and backend != "matrix":
+        raise ValueError("reference_matrix only applies to the matrix backend")
+    graph = space.distance_graph
+    graph.precompute()
+    if backend == "labels":
+        from repro.labels import LabeledDistanceIndex
+
+        return LabeledDistanceIndex.build(graph)
+    return DistanceIndexMatrix.build(graph, reference=reference_matrix)
+
+
 class IndexFramework:
     """All §IV index structures for one indoor space.
 
@@ -78,21 +95,10 @@ class IndexFramework:
                 labeling of :mod:`repro.labels` (bit-identical answers,
                 O(label entries) instead of O(N²) resident bytes).
         """
-        validate_backend(backend)
-        if reference_matrix and backend != "matrix":
-            raise ValueError(
-                "reference_matrix only applies to the matrix backend"
-            )
+        distance_index = build_distance_backend(
+            space, backend, reference_matrix
+        )
         graph = space.distance_graph
-        graph.precompute()
-        if backend == "labels":
-            from repro.labels import LabeledDistanceIndex
-
-            distance_index: DistanceBackend = LabeledDistanceIndex.build(graph)
-        else:
-            distance_index = DistanceIndexMatrix.build(
-                graph, reference=reference_matrix
-            )
         dpt = DoorPartitionTable.build(graph)
         rtree = PartitionRTree(space).install()
         store = ObjectStore(space, cell_size)
@@ -175,7 +181,7 @@ class IndexFramework:
         N×N×8 for the index ordering as stored; DPT: 28 bytes per record).
 
         ``backend_bytes`` breaks the distance structure down per component
-        (labels vs corrections vs patches for the labeled backend), so
+        (labels vs edges vs patches for the labeled backend), so
         dense and labeled footprints are directly comparable.
         """
         return {

@@ -7,8 +7,8 @@ alternative behind ``IndexFramework.build(backend="labels")``:
 * :mod:`repro.labels.hierarchy` — an independent-set vertex hierarchy
   over the door graph (IS-LABEL, arXiv:1211.2367).
 * :mod:`repro.labels.builder` — pruned per-hub Dijkstra labeling in
-  hierarchy order, directed-aware (TopCom, arXiv:1602.01537), plus the
-  canonical repair pass that makes answers bit-identical to the matrix.
+  hierarchy order, directed-aware (TopCom, arXiv:1602.01537); answers are
+  bit-identical to the matrix because door-graph weights are exact.
 * :mod:`repro.labels.index` — :class:`LabeledDistanceIndex`, the
   :class:`repro.index.DistanceBackend` implementation.
 * :mod:`repro.labels.serialize` — the deterministic snapshot codec.

@@ -9,21 +9,18 @@ arXiv:1211.2367):
   Dijkstra yields d(h, ·) and a backward Dijkstra (on the transposed
   graph) yields d(·, h) — both via the same
   :func:`scipy.sparse.csgraph.dijkstra` routine the dense M_d2d builder
-  uses, so every stored label distance is *canonical*.
+  uses.
 * An entry ``(h, d(h, v))`` joins L_in(v) only when the labels built so
   far cannot already answer d(h, v) at least as well (the standard PLL
   pruning test, evaluated vectorised over all targets at once); the
   backward side is symmetric for L_out.
 
-Then a **canonical repair pass** makes the labeling answer bit-identically
-to the dense matrix: floating-point addition is not associative, so a hub
-sum d(u,h) + d(h,v) can differ from the canonically folded Dijkstra value
-by an ulp.  The pass streams exact per-source rows (chunked, never
-holding N² floats) and records every element where the label query
-deviates bitwise into a sparse correction table that query processing
-consults first.  On every graph we have measured, corrections are a
-vanishing fraction of N² and each deviation is ulp-scale — the table is a
-guarantee, not a crutch.
+The label answers equal the dense matrix bit for bit by construction:
+door-graph weights are multiples of
+:data:`repro.model.distance_graph.WEIGHT_QUANTUM`, so a hub sum
+d(u,h) + d(h,v) and the matrix's Dijkstra fold along the same shortest
+path are both exact, and therefore the same float.  Exactness is also
+what makes the pruning test sound: a tie with an earlier hub prunes.
 """
 
 from __future__ import annotations
@@ -32,14 +29,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
+from repro.distance.matrix import door_graph_csr
 from repro.labels.hierarchy import VertexHierarchy, build_hierarchy
-
-#: Sources per canonical-repair Dijkstra batch; bounds the pass's resident
-#: memory at ``chunk × N`` floats regardless of graph size.
-REPAIR_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -48,8 +41,7 @@ class HubLabeling:
 
     Label sets are CSR-shaped over matrix indices: node ``v``'s L_in
     entries are ``in_hubs[in_indptr[v]:in_indptr[v+1]]`` with matching
-    distances, hubs ascending within each segment.  ``corr_*`` is the
-    sparse canonical-correction table (see module docstring).
+    distances, hubs ascending within each segment.
     """
 
     out_indptr: np.ndarray
@@ -58,9 +50,6 @@ class HubLabeling:
     in_indptr: np.ndarray
     in_hubs: np.ndarray
     in_dists: np.ndarray
-    corr_src: np.ndarray
-    corr_dst: np.ndarray
-    corr_val: np.ndarray
     stats: Dict[str, float] = field(default_factory=dict)
 
     @property
@@ -69,7 +58,7 @@ class HubLabeling:
         return int(len(self.out_hubs) + len(self.in_hubs))
 
     def memory_bytes(self) -> int:
-        """Total bytes of the label and correction arrays."""
+        """Total bytes of the label arrays."""
         arrays = (
             self.out_indptr,
             self.out_hubs,
@@ -77,30 +66,8 @@ class HubLabeling:
             self.in_indptr,
             self.in_hubs,
             self.in_dists,
-            self.corr_src,
-            self.corr_dst,
-            self.corr_val,
         )
         return int(sum(a.nbytes for a in arrays))
-
-
-def door_graph_csr(
-    door_ids: Sequence[int], edges: Sequence[Tuple[int, int, float]]
-) -> csr_matrix:
-    """The door graph as a CSR adjacency over matrix indices — identical
-    assembly to :func:`repro.distance.matrix.build_distance_matrix`."""
-    n = len(door_ids)
-    index = {door_id: i for i, door_id in enumerate(door_ids)}
-    rows = np.fromiter(
-        (index[i] for i, _, _ in edges), dtype=np.int64, count=len(edges)
-    )
-    cols = np.fromiter(
-        (index[j] for _, j, _ in edges), dtype=np.int64, count=len(edges)
-    )
-    weights = np.fromiter(
-        (w for _, _, w in edges), dtype=np.float64, count=len(edges)
-    )
-    return csr_matrix((weights, (rows, cols)), shape=(n, n))
 
 
 def _csr_from_lists(
@@ -167,7 +134,7 @@ def build_labeling(
     edges: Sequence[Tuple[int, int, float]],
     hierarchy: VertexHierarchy = None,
 ) -> Tuple[HubLabeling, VertexHierarchy]:
-    """Construct pruned 2-hop labels (and corrections) for a door graph."""
+    """Construct pruned 2-hop labels for a door graph."""
     ids = tuple(door_ids)
     n = len(ids)
     if hierarchy is None:
@@ -178,8 +145,7 @@ def build_labeling(
         empty_d = np.empty(0, dtype=np.float64)
         labeling = HubLabeling(
             empty_i, empty_h, empty_d, empty_i.copy(), empty_h.copy(),
-            empty_d.copy(), empty_h.copy(), empty_h.copy(), empty_d.copy(),
-            stats={"entries": 0, "corrections": 0, "max_correction": 0.0},
+            empty_d.copy(), stats={"entries": 0},
         )
         return labeling, hierarchy
 
@@ -223,34 +189,6 @@ def build_labeling(
 
     out_indptr, out_hubs, out_dists = _csr_from_lists(n, out_labels)
     in_indptr, in_hubs, in_dists = _csr_from_lists(n, in_labels)
-    inv_in = invert_by_hub(n, in_indptr, in_hubs, in_dists)
-
-    # Canonical repair pass: stream exact per-source Dijkstra rows and
-    # record every bitwise deviation of the label answer.
-    corr_src: List[int] = []
-    corr_dst: List[int] = []
-    corr_val: List[float] = []
-    max_err = 0.0
-    for start in range(0, n, REPAIR_CHUNK):
-        sources = list(range(start, min(start + REPAIR_CHUNK, n)))
-        canonical = np.atleast_2d(dijkstra(adj, directed=True, indices=sources))
-        for offset, u in enumerate(sources):
-            canonical_row = canonical[offset]
-            canonical_row[u] = 0.0  # matches fill_diagonal of the matrix path
-            label_row = materialize_row(
-                u, n, out_indptr, out_hubs, out_dists, *inv_in
-            )
-            mismatch = np.flatnonzero(label_row != canonical_row)
-            for j in mismatch.tolist():
-                corr_src.append(u)
-                corr_dst.append(j)
-                corr_val.append(float(canonical_row[j]))
-                if np.isfinite(label_row[j]) and np.isfinite(canonical_row[j]):
-                    max_err = max(
-                        max_err, abs(float(label_row[j] - canonical_row[j]))
-                    )
-                else:
-                    max_err = np.inf
 
     labeling = HubLabeling(
         out_indptr=out_indptr,
@@ -259,13 +197,6 @@ def build_labeling(
         in_indptr=in_indptr,
         in_hubs=in_hubs,
         in_dists=in_dists,
-        corr_src=np.asarray(corr_src, dtype=np.int64),
-        corr_dst=np.asarray(corr_dst, dtype=np.int64),
-        corr_val=np.asarray(corr_val, dtype=np.float64),
-        stats={
-            "entries": float(len(out_hubs) + len(in_hubs)),
-            "corrections": float(len(corr_src)),
-            "max_correction": float(max_err),
-        },
+        stats={"entries": float(len(out_hubs) + len(in_hubs))},
     )
     return labeling, hierarchy

@@ -94,7 +94,7 @@ def build_hierarchy(
     Args:
         door_ids: ascending door ids (row order of every distance backend).
         edges: directed ``(from_door, to_door, weight)`` triples, e.g. from
-            :func:`repro.distance.matrix._door_graph_edges`.
+            :func:`repro.distance.matrix.door_graph_edges`.
     """
     ids = tuple(door_ids)
     n = len(ids)

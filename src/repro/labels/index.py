@@ -2,13 +2,13 @@
 
 Answers the same :class:`repro.index.backend.DistanceBackend` surface as
 the dense :class:`repro.index.DistanceIndexMatrix`, bit-identically (see
-:mod:`repro.labels.builder` for the canonical-correction mechanism), while
-storing O(total label entries) instead of O(N²) floats.
+:mod:`repro.labels.builder` for why exact door-graph weights make that hold
+by construction), while storing O(total label entries) instead of O(N²)
+floats.
 
 A query ``d(u, v)`` is::
 
     min over hubs h in L_out(u) ∩ L_in(v) of d(u,h) + d(h,v)
-    → overridden by the sparse canonical-correction table
     → min'ed against the incremental-repair patch hubs, if any
 
 Nearest-first scans (``doors_by_distance``) materialise one full distance
@@ -28,6 +28,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.distance.matrix import door_graph_edges
 from repro.exceptions import UnknownEntityError
 from repro.labels.builder import (
     HubLabeling,
@@ -35,11 +36,33 @@ from repro.labels.builder import (
     invert_by_hub,
     materialize_row,
 )
-from repro.labels.hierarchy import VertexHierarchy, build_hierarchy
+from repro.labels.hierarchy import VertexHierarchy
 
 #: Distance rows kept resident per index (each row is N floats plus its
 #: stable argsort order, so the cache is bounded at ``2 × 16N × this``).
 ROW_CACHE_LIMIT = 64
+
+
+@dataclass(frozen=True)
+class EdgeArrays:
+    """Directed door-graph edges by door id, as three parallel arrays."""
+
+    src: np.ndarray
+    dst: np.ndarray
+    w: np.ndarray
+
+    @classmethod
+    def of(cls, edges: Sequence[Tuple[int, int, float]]) -> "EdgeArrays":
+        """Pack ``(from_door, to_door, weight)`` triples."""
+        return cls(
+            np.array([e[0] for e in edges], dtype=np.int64),
+            np.array([e[1] for e in edges], dtype=np.int64),
+            np.array([e[2] for e in edges], dtype=np.float64),
+        )
+
+    @property
+    def nbytes(self) -> int:
+        return int(self.src.nbytes + self.dst.nbytes + self.w.nbytes)
 
 
 @dataclass(frozen=True)
@@ -63,7 +86,7 @@ class LabelPatches:
 
 
 class LabeledDistanceIndex:
-    """2-hop labels + hierarchy + corrections + repair patches.
+    """2-hop labels + hierarchy + repair patches.
 
     Construct with :meth:`build` (from a distance-aware graph) or directly
     from previously serialized parts (:mod:`repro.labels.serialize`).
@@ -77,7 +100,7 @@ class LabeledDistanceIndex:
         door_ids: Sequence[int],
         labeling: HubLabeling,
         hierarchy: VertexHierarchy,
-        edges: Sequence[Tuple[int, int, float]],
+        edges: EdgeArrays,
         patches: Optional[LabelPatches] = None,
     ) -> None:
         self._base_door_ids: Tuple[int, ...] = tuple(door_ids)
@@ -85,9 +108,7 @@ class LabeledDistanceIndex:
         self._hierarchy = hierarchy
         #: Door graph at label-build time, by door id — the baseline
         #: incremental repair diffs topology mutations against.
-        self._base_edges: Tuple[Tuple[int, int, float], ...] = tuple(
-            (int(a), int(b), float(w)) for a, b, w in edges
-        )
+        self._base_edges = edges
         self._patches = patches
 
         self._door_ids: Tuple[int, ...] = (
@@ -116,29 +137,6 @@ class LabeledDistanceIndex:
         self._inv_in = invert_by_hub(
             base_n, labeling.in_indptr, labeling.in_hubs, labeling.in_dists
         )
-        #: (src, dst) base-index pair -> canonical distance override.
-        self._corrections: Dict[Tuple[int, int], float] = {
-            (int(s), int(d)): float(v)
-            for s, d, v in zip(
-                labeling.corr_src, labeling.corr_dst, labeling.corr_val
-            )
-        }
-        #: src base-index -> (dst base indices, canonical values), for row
-        #: materialisation.
-        self._corr_by_src: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        if len(labeling.corr_src):
-            order = np.argsort(labeling.corr_src, kind="stable")
-            srcs = labeling.corr_src[order]
-            dsts = labeling.corr_dst[order]
-            vals = labeling.corr_val[order]
-            boundaries = np.flatnonzero(np.diff(srcs)) + 1
-            for chunk_d, chunk_v, src in zip(
-                np.split(dsts, boundaries),
-                np.split(vals, boundaries),
-                srcs[np.concatenate(([0], boundaries))],
-            ):
-                self._corr_by_src[int(src)] = (chunk_d, chunk_v)
-
         self._lock = threading.Lock()
         self._row_cache: "OrderedDict[int, Tuple[np.ndarray, np.ndarray]]" = (
             OrderedDict()
@@ -151,12 +149,10 @@ class LabeledDistanceIndex:
     def build(cls, graph) -> "LabeledDistanceIndex":
         """Build labels for a :class:`DistanceAwareGraph` (same edge
         extraction as the dense matrix builder)."""
-        from repro.distance.matrix import _door_graph_edges
-
         door_ids = graph.space.topology.door_ids
-        edges = _door_graph_edges(graph)
+        edges = door_graph_edges(graph)
         labeling, hierarchy = build_labeling(door_ids, edges)
-        return cls(door_ids, labeling, hierarchy, edges)
+        return cls(door_ids, labeling, hierarchy, EdgeArrays.of(edges))
 
     def with_patches(self, patches: Optional[LabelPatches]) -> "LabeledDistanceIndex":
         """A sibling index sharing this one's labels but carrying a
@@ -191,7 +187,7 @@ class LabeledDistanceIndex:
         return self._hierarchy
 
     @property
-    def base_edges(self) -> Tuple[Tuple[int, int, float], ...]:
+    def base_edges(self) -> EdgeArrays:
         return self._base_edges
 
     @property
@@ -218,12 +214,7 @@ class LabeledDistanceIndex:
         bi = int(self._current_to_base[i])
         bj = int(self._current_to_base[j])
         if bi >= 0 and bj >= 0:
-            correction = self._corrections.get((bi, bj))
-            best = (
-                correction
-                if correction is not None
-                else self._pair_query(bi, bj)
-            )
+            best = self._pair_query(bi, bj)
         if self._patches is not None:
             patch = float(
                 np.min(self._patches.bwd[:, i] + self._patches.fwd[:, j])
@@ -232,7 +223,7 @@ class LabeledDistanceIndex:
         return float(best)
 
     def _pair_query(self, bi: int, bj: int) -> float:
-        """Raw 2-hop intersection d(base_i, base_j), pre-correction."""
+        """2-hop intersection d(base_i, base_j) over the base labels."""
         lab = self._labeling
         hubs_u = lab.out_hubs[lab.out_indptr[bi] : lab.out_indptr[bi + 1]]
         hubs_v = lab.in_hubs[lab.in_indptr[bj] : lab.in_indptr[bj + 1]]
@@ -341,9 +332,6 @@ class LabeledDistanceIndex:
                 lab.out_dists,
                 *self._inv_in,
             )
-            corr = self._corr_by_src.get(bi)
-            if corr is not None:
-                base_row[corr[0]] = corr[1]
             row[self._base_pos] = base_row
         row[i] = 0.0
         if self._patches is not None:
@@ -366,8 +354,8 @@ class LabeledDistanceIndex:
     # Accounting + integrity
     # ------------------------------------------------------------------
     def memory_bytes(self) -> int:
-        """Resident bytes: labels + corrections + hierarchy + base edges +
-        patches + the current row cache."""
+        """Resident bytes: labels + hierarchy + base edges + patches + the
+        current row cache."""
         report = self.memory_report()
         return int(sum(v for k, v in report.items() if k.endswith("_bytes")))
 
@@ -383,13 +371,10 @@ class LabeledDistanceIndex:
             + lab.in_dists.nbytes
             + sum(a.nbytes for a in self._inv_in)
         )
-        correction_bytes = int(
-            lab.corr_src.nbytes + lab.corr_dst.nbytes + lab.corr_val.nbytes
-        )
         hierarchy_bytes = int(
             self._hierarchy.levels.nbytes + self._hierarchy.order.nbytes
         )
-        edge_bytes = 24 * len(self._base_edges)
+        edge_bytes = self._base_edges.nbytes
         patch_bytes = (
             0 if self._patches is None else self._patches.memory_bytes()
         )
@@ -402,13 +387,11 @@ class LabeledDistanceIndex:
             )
         return {
             "labels_bytes": label_bytes,
-            "corrections_bytes": correction_bytes,
             "hierarchy_bytes": hierarchy_bytes,
             "edges_bytes": edge_bytes,
             "patches_bytes": patch_bytes,
             "row_cache_bytes": cache_bytes,
             "label_entries": self._labeling.entry_count,
-            "corrections": int(len(lab.corr_src)),
             "patch_hubs": self.patch_count,
         }
 
@@ -440,10 +423,6 @@ class LabeledDistanceIndex:
                 (hubs < 0).any() or (hubs >= n).any()
             ):
                 issues.append(f"L_{name} references out-of-range hubs")
-        if np.isnan(lab.corr_val).any():
-            issues.append("correction table contains NaN")
-        if len(lab.corr_val) and (lab.corr_val < 0).any():
-            issues.append("correction table contains negative distances")
         if self._patches is not None:
             if np.isnan(self._patches.fwd).any() or np.isnan(
                 self._patches.bwd

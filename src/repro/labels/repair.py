@@ -13,16 +13,13 @@ cheaper path for the mutations the WAL actually records:
   yields exact current-graph distances.  New doors are themselves patch
   hubs, which also covers doors the labeling has never seen.
 
-  Precision contract: the overlay is *mathematically* exact, but only
-  the forward patch rows d(hub, ·) are bitwise canonical.  A
-  through-patch answer sums two half-path values, and the backward rows
-  d(·, hub) come from a Dijkstra on the transposed graph — both fold
-  additions in a different order than the forward Dijkstra the dense
-  matrix stores, so a repaired answer can differ from a full rebuild by
-  one ulp.  Rebuilding (which reruns the canonical-correction pass)
-  restores strict bit-identity with the dense backend; serving tiers
-  that advertise bit-identity therefore go through the snapshot/rebuild
-  rungs, never through a live overlay.
+  The overlay is bit-identical to a full dense rebuild, not just
+  mathematically exact: door-graph weights are multiples of
+  :data:`repro.model.distance_graph.WEIGHT_QUANTUM`, so the half-path
+  sums d(·, hub) + d(hub, ·) and the dense matrix's Dijkstra fold are
+  exact and agree to the bit, scan order included.  Live
+  reconfiguration (:mod:`repro.shard.reconfig`) serves repaired indexes
+  directly.
 * ``remove_door`` can *increase* distances, which no overlay over the old
   labels can express — that is the full-rebuild fallback.
 
@@ -43,7 +40,7 @@ from typing import Dict, Iterable, Optional, Tuple
 import numpy as np
 from scipy.sparse.csgraph import dijkstra
 
-from repro.labels.builder import door_graph_csr
+from repro.distance.matrix import door_graph_csr, door_graph_edges
 from repro.labels.hierarchy import affected_cone
 from repro.labels.index import LabeledDistanceIndex, LabelPatches
 
@@ -80,8 +77,6 @@ def repair_labels(
     Returns ``(repaired_index, outcome)``; the index is ``None`` when the
     caller must fall back to a full rebuild (outcome says why).
     """
-    from repro.distance.matrix import _door_graph_edges
-
     if _wants_rebuild(records):
         return None, RepairOutcome(False, "wal contains remove_door")
 
@@ -90,10 +85,11 @@ def repair_labels(
     if not base_ids <= set(current_ids):
         return None, RepairOutcome(False, "doors were removed")
 
-    current_edges = _door_graph_edges(graph)
-    base_map: Dict[Tuple[int, int], float] = {
-        (a, b): w for a, b, w in index.base_edges
-    }
+    current_edges = door_graph_edges(graph)
+    base = index.base_edges
+    base_map: Dict[Tuple[int, int], float] = dict(
+        zip(zip(base.src.tolist(), base.dst.tolist()), base.w.tolist())
+    )
     current_map: Dict[Tuple[int, int], float] = {
         (a, b): w for a, b, w in current_edges
     }

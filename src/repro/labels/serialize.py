@@ -21,9 +21,10 @@ import numpy as np
 from repro.exceptions import SerializationError
 from repro.labels.builder import HubLabeling
 from repro.labels.hierarchy import VertexHierarchy
-from repro.labels.index import LabeledDistanceIndex, LabelPatches
+from repro.labels.index import EdgeArrays, LabeledDistanceIndex, LabelPatches
 
-_CODEC_VERSION = 1
+#: Version 2 drops the correction-table arrays version 1 carried.
+_CODEC_VERSION = 2
 
 
 def _collect_arrays(index: LabeledDistanceIndex) -> Dict[str, np.ndarray]:
@@ -37,14 +38,11 @@ def _collect_arrays(index: LabeledDistanceIndex) -> Dict[str, np.ndarray]:
         "in_indptr": lab.in_indptr,
         "in_hubs": lab.in_hubs,
         "in_dists": lab.in_dists,
-        "corr_src": lab.corr_src,
-        "corr_dst": lab.corr_dst,
-        "corr_val": lab.corr_val,
         "levels": index.hierarchy.levels,
         "order": index.hierarchy.order,
-        "edge_src": np.asarray([e[0] for e in edges], dtype=np.int64),
-        "edge_dst": np.asarray([e[1] for e in edges], dtype=np.int64),
-        "edge_w": np.asarray([e[2] for e in edges], dtype=np.float64),
+        "edge_src": edges.src,
+        "edge_dst": edges.dst,
+        "edge_w": edges.w,
     }
     patches = index.patches
     if patches is not None:
@@ -113,9 +111,6 @@ def labels_from_bytes(data: bytes) -> LabeledDistanceIndex:
         "in_indptr",
         "in_hubs",
         "in_dists",
-        "corr_src",
-        "corr_dst",
-        "corr_val",
         "levels",
         "order",
         "edge_src",
@@ -136,24 +131,14 @@ def labels_from_bytes(data: bytes) -> LabeledDistanceIndex:
         in_indptr=arrays["in_indptr"],
         in_hubs=arrays["in_hubs"],
         in_dists=arrays["in_dists"],
-        corr_src=arrays["corr_src"],
-        corr_dst=arrays["corr_dst"],
-        corr_val=arrays["corr_val"],
         stats={
             "entries": float(len(arrays["out_hubs"]) + len(arrays["in_hubs"])),
-            "corrections": float(len(arrays["corr_src"])),
         },
     )
     hierarchy = VertexHierarchy(
         door_ids=door_ids, levels=arrays["levels"], order=arrays["order"]
     )
-    edges = list(
-        zip(
-            (int(v) for v in arrays["edge_src"]),
-            (int(v) for v in arrays["edge_dst"]),
-            (float(v) for v in arrays["edge_w"]),
-        )
-    )
+    edges = EdgeArrays(arrays["edge_src"], arrays["edge_dst"], arrays["edge_w"])
     patches = None
     if "patch_door_ids" in arrays:
         patches = LabelPatches(

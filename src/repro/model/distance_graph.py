@@ -14,6 +14,13 @@ distance mappings:
 
 Both mappings are memoised: floor plans are static, and the paper's indexing
 framework precomputes exactly these values.
+
+Every finite f_d2d value is rounded to a multiple of :data:`WEIGHT_QUANTUM`
+when it is first computed.  Door-graph path lengths are sums of these
+weights, and any such sum below 2³³ m is exact in float64 whatever the
+order of addition, so Algorithm 1, the bulk matrix builder, the 2-hop
+labels and their repair overlay all produce the same bits for the same
+shortest path.
 """
 
 from __future__ import annotations
@@ -25,6 +32,10 @@ from repro.exceptions import UnknownEntityError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.model.builder import IndoorSpace
+
+#: Grid every finite f_d2d weight is rounded to, in metres (2⁻²⁰ m, about
+#: 0.95 µm): each weight moves by at most half of it.
+WEIGHT_QUANTUM = 2.0 ** -20
 
 
 class DistanceAwareGraph:
@@ -77,7 +88,8 @@ class DistanceAwareGraph:
 
         Finite exactly when one can enter v_k through d_i and leave it
         through d_j (intra-partition walking distance between the two door
-        midpoints), or trivially 0 when d_i = d_j touches v_k.
+        midpoints, rounded to :data:`WEIGHT_QUANTUM`), or trivially 0 when
+        d_i = d_j touches v_k.
         """
         key = (partition_id, from_door, to_door)
         cached = self._fd2d_cache.get(key)
@@ -102,6 +114,8 @@ class DistanceAwareGraph:
                 self._space.door(from_door).midpoint,
                 self._space.door(to_door).midpoint,
             )
+            if not math.isinf(value):
+                value = round(value / WEIGHT_QUANTUM) * WEIGHT_QUANTUM
         else:
             value = math.inf
         self._fd2d_cache[key] = value

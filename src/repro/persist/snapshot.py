@@ -8,7 +8,10 @@ for the labels backend, via the :mod:`repro.labels.serialize` codec), the
 Door-to-Partition Table, and the grid-indexed object buckets (objects are
 stored with their host partition id, so no point location runs on load).
 The manifest's ``backend`` key names which layout the file carries;
-format-1 files predate it and always hold a matrix.
+format-1 files predate it and always hold a matrix.  Formats 1 and 2 were
+written before f_d2d weights were rounded to
+:data:`repro.model.distance_graph.WEIGHT_QUANTUM`, so their distance
+sections are not read: the backend is rebuilt from the decoded space.
 
 Container layout (all integers big-endian)::
 
@@ -48,9 +51,10 @@ import numpy as np
 
 from repro.distance.matrix import DoorDistanceMatrix
 from repro.exceptions import SnapshotCorruptError
+from repro.index.backend import DistanceBackend
 from repro.index.distance_matrix import DistanceIndexMatrix
 from repro.index.dpt import DoorPartitionTable, DptRecord
-from repro.index.framework import IndexFramework
+from repro.index.framework import IndexFramework, build_distance_backend
 from repro.index.objects import IndoorObject, ObjectStore
 from repro.index.rtree import PartitionRTree
 from repro.io.json_io import space_from_dict, space_to_dict
@@ -65,11 +69,14 @@ MAGIC = b"RPROSNAP"
 #: Bumped on any incompatible change to the container or a section codec.
 #: Version 2 adds the manifest ``backend`` key and, for labels-backed
 #: frameworks, replaces the ``md2d`` section with a ``labels`` section
-#: (:mod:`repro.labels.serialize` codec).  Version 1 files still load.
-SNAPSHOT_FORMAT_VERSION = 2
+#: (:mod:`repro.labels.serialize` codec).  Version 3 stores distances
+#: built on rounded f_d2d weights and labels codec 2 (no correction
+#: table).  Version 1 and 2 files still load, with their distance
+#: sections re-derived from the space.
+SNAPSHOT_FORMAT_VERSION = 3
 
 #: Every container version this reader understands.
-SUPPORTED_FORMAT_VERSIONS = (1, 2)
+SUPPORTED_FORMAT_VERSIONS = (1, 2, 3)
 
 #: Section names for a matrix-backed snapshot, in on-disk order.
 SECTIONS = ("space", "md2d", "door_ids", "dpt", "objects")
@@ -331,6 +338,52 @@ def read_manifest(path: PathLike) -> dict:
     return manifest
 
 
+def _load_distance_index(
+    path: Path, space, backend: str, payloads: Dict[str, bytes]
+) -> DistanceBackend:
+    """Decode and cross-check a v3 file's distance sections."""
+    door_ids = tuple(int(d) for d in _npy_load(payloads["door_ids"], "door_ids"))
+    if backend == "labels":
+        from repro.exceptions import SerializationError
+        from repro.labels.serialize import labels_from_bytes
+
+        try:
+            distance_index = labels_from_bytes(payloads["labels"])
+        except SerializationError as exc:
+            raise SnapshotCorruptError(
+                f"{path}: labels section does not decode: {exc}",
+                section="labels",
+            ) from exc
+        if tuple(distance_index.door_ids) != door_ids:
+            raise SnapshotCorruptError(
+                f"{path}: labels door ids disagree with the door_ids section",
+                section="labels",
+            )
+        if set(door_ids) != set(space.door_ids):
+            raise SnapshotCorruptError(
+                f"{path}: labels door ids disagree with the space model",
+                section="door_ids",
+            )
+        return distance_index
+    matrix = _npy_load(payloads["md2d"], "md2d")
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise SnapshotCorruptError(
+            f"{path}: M_d2d is not square: {matrix.shape}", section="md2d"
+        )
+    if matrix.shape[0] != len(door_ids):
+        raise SnapshotCorruptError(
+            f"{path}: door id count {len(door_ids)} does not match matrix "
+            f"size {matrix.shape[0]}",
+            section="door_ids",
+        )
+    if set(door_ids) != set(space.door_ids):
+        raise SnapshotCorruptError(
+            f"{path}: M_d2d door ids disagree with the space model",
+            section="door_ids",
+        )
+    return DistanceIndexMatrix(DoorDistanceMatrix(matrix, door_ids))
+
+
 def load_snapshot(path: PathLike) -> Tuple[IndexFramework, dict]:
     """Load a snapshot back into a working :class:`IndexFramework`.
 
@@ -358,46 +411,11 @@ def load_snapshot(path: PathLike) -> Tuple[IndexFramework, dict]:
     space.restore_topology_epoch(int(manifest["topology_epoch"]))
 
     backend = str(manifest.get("backend", "matrix"))
-    door_ids = tuple(int(d) for d in _npy_load(payloads["door_ids"], "door_ids"))
-    if backend == "labels":
-        from repro.exceptions import SerializationError
-        from repro.labels.serialize import labels_from_bytes
-
-        try:
-            distance_index = labels_from_bytes(payloads["labels"])
-        except SerializationError as exc:
-            raise SnapshotCorruptError(
-                f"{path}: labels section does not decode: {exc}",
-                section="labels",
-            ) from exc
-        if tuple(distance_index.door_ids) != door_ids:
-            raise SnapshotCorruptError(
-                f"{path}: labels door ids disagree with the door_ids section",
-                section="labels",
-            )
-        if set(door_ids) != set(space.door_ids):
-            raise SnapshotCorruptError(
-                f"{path}: labels door ids disagree with the space model",
-                section="door_ids",
-            )
+    if int(manifest.get("format_version", 1)) < 3:
+        # Pre-v3 distance sections were built on unrounded f_d2d weights.
+        distance_index = build_distance_backend(space, backend)
     else:
-        matrix = _npy_load(payloads["md2d"], "md2d")
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise SnapshotCorruptError(
-                f"{path}: M_d2d is not square: {matrix.shape}", section="md2d"
-            )
-        if matrix.shape[0] != len(door_ids):
-            raise SnapshotCorruptError(
-                f"{path}: door id count {len(door_ids)} does not match matrix "
-                f"size {matrix.shape[0]}",
-                section="door_ids",
-            )
-        if set(door_ids) != set(space.door_ids):
-            raise SnapshotCorruptError(
-                f"{path}: M_d2d door ids disagree with the space model",
-                section="door_ids",
-            )
-        distance_index = DistanceIndexMatrix(DoorDistanceMatrix(matrix, door_ids))
+        distance_index = _load_distance_index(path, space, backend, payloads)
 
     try:
         dpt = _dpt_from_rows(json.loads(payloads["dpt"].decode("utf-8")))

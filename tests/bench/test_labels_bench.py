@@ -47,6 +47,9 @@ class TestMeasure:
         labels = quick_result["labels"]
         dense = quick_result["dense"]
         assert labels["bytes"] > 0
+        assert labels["measured_bytes"] == pytest.approx(
+            labels["bytes"], rel=0.20
+        )
         assert labels["build_s"] > 0
         assert labels["query_us"] > 0
         assert dense["built"] is True

@@ -2,14 +2,14 @@
 
 import numpy as np
 
-from repro.distance.matrix import _door_graph_edges
+from repro.distance.matrix import door_graph_edges
 from repro.labels import affected_cone, build_hierarchy
 
 
 def _graph_inputs(space):
     graph = space.distance_graph
     graph.precompute()
-    return tuple(space.topology.door_ids), _door_graph_edges(graph)
+    return tuple(space.topology.door_ids), door_graph_edges(graph)
 
 
 class TestBuildHierarchy:

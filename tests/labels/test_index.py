@@ -1,12 +1,16 @@
 """LabeledDistanceIndex: bit-identity with the dense matrix backend."""
 
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.exceptions import UnknownEntityError
 from repro.index.backend import DistanceBackend, validate_backend
+from repro.labels import LabeledDistanceIndex
+from repro.synthetic import BuildingConfig, generate_building
 
 
 class TestBitIdentity:
@@ -116,6 +120,22 @@ class TestAccounting:
         assert report["label_entries"] > 0
         assert report["patch_hubs"] == 0
         assert labels.distance_index.memory_bytes() >= report["labels_bytes"]
+
+    def test_memory_bytes_matches_what_the_build_retains(self):
+        """``memory_bytes()`` is an honest resident figure: within 20% of
+        the bytes tracemalloc sees the build keep alive."""
+        graph = generate_building(BuildingConfig(floors=10)).space.distance_graph
+        graph.precompute()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            index = LabeledDistanceIndex.build(graph)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert index.memory_bytes() == pytest.approx(retained, rel=0.20)
 
     def test_labels_beat_the_matrix_even_here(self, building_pair):
         """Already at ~34 doors the labeling should not be catastrophically

@@ -1,13 +1,22 @@
-"""Snapshot format v2: the labels-backend section (repro.persist.snapshot)."""
+"""Snapshot formats v2/v3: the labels-backend section and pre-v3 loading
+(repro.persist.snapshot)."""
 
+import hashlib
+import json
+import struct
+import zlib
+
+import numpy as np
 import pytest
 
 from repro.exceptions import SnapshotCorruptError
 from repro.index import IndexFramework
 from repro.persist import load_snapshot, read_manifest, save_snapshot
 from repro.persist.snapshot import (
+    MAGIC,
     SNAPSHOT_FORMAT_VERSION,
     SUPPORTED_FORMAT_VERSIONS,
+    _npy_bytes,
     snapshot_bytes,
 )
 from tests.persist.test_snapshot import _reseal, _section_offsets
@@ -24,9 +33,9 @@ def labels_framework(figure1_framework):
 
 
 class TestFormat:
-    def test_version_2_and_the_v1_range(self):
-        assert SNAPSHOT_FORMAT_VERSION == 2
-        assert SUPPORTED_FORMAT_VERSIONS == (1, 2)
+    def test_version_3_and_the_older_range(self):
+        assert SNAPSHOT_FORMAT_VERSION == 3
+        assert SUPPORTED_FORMAT_VERSIONS == (1, 2, 3)
 
     def test_manifest_records_the_backend(
         self, labels_framework, figure1_framework, tmp_path
@@ -85,6 +94,83 @@ class TestRoundTrip:
                 assert restored.distance_index.distance(
                     u, v
                 ) == dense.distance(u, v)
+
+
+def _as_format_2(data: bytes, replace: dict) -> bytes:
+    """Re-pack a current snapshot as a format-2 container, swapping in
+    the given section payloads (checksums recomputed, so it verifies)."""
+    head = struct.Struct(">II")
+    head_len = len(MAGIC) + head.size
+    _, manifest_len = head.unpack_from(data, len(MAGIC))
+    manifest = json.loads(data[head_len : head_len + manifest_len])
+    offset = head_len + manifest_len
+    payloads = []
+    for entry in manifest["sections"]:
+        payload = data[offset : offset + entry["length"]]
+        offset += entry["length"]
+        payload = replace.get(entry["name"], payload)
+        entry.update(
+            length=len(payload),
+            crc32=zlib.crc32(payload),
+            sha256=hashlib.sha256(payload).hexdigest(),
+        )
+        payloads.append(payload)
+    manifest["format_version"] = 2
+    manifest_bytes = json.dumps(manifest, sort_keys=True).encode("utf-8")
+    body = (
+        MAGIC
+        + head.pack(2, len(manifest_bytes))
+        + manifest_bytes
+        + b"".join(payloads)
+    )
+    return body + hashlib.sha256(body).digest()
+
+
+class TestFormat2Files:
+    """Format-2 distance sections were built on unrounded f_d2d weights;
+    loading re-derives them from the space instead of trusting them."""
+
+    def test_matrix_file_answers_like_a_fresh_build(
+        self, figure1_framework, tmp_path
+    ):
+        md2d = figure1_framework.distance_index.md2d
+        drifted = np.where(
+            np.isfinite(md2d) & (md2d > 0), np.nextafter(md2d, np.inf), md2d
+        )
+        path = tmp_path / "v2.snap"
+        path.write_bytes(
+            _as_format_2(
+                snapshot_bytes(figure1_framework), {"md2d": _npy_bytes(drifted)}
+            )
+        )
+        restored, manifest = load_snapshot(path)
+        assert manifest["format_version"] == 2
+        fresh = IndexFramework.build(restored.space).distance_index
+        assert np.array_equal(restored.distance_index.md2d, fresh.md2d)
+        assert np.array_equal(restored.distance_index.midx, fresh.midx)
+        assert restored.is_fresh
+        assert len(restored.objects) == len(figure1_framework.objects)
+
+    def test_labels_file_answers_like_a_fresh_build(
+        self, labels_framework, tmp_path
+    ):
+        path = tmp_path / "v2.snap"
+        path.write_bytes(
+            _as_format_2(
+                snapshot_bytes(labels_framework),
+                {"labels": b"labels codec 1, with a correction table"},
+            )
+        )
+        restored, _ = load_snapshot(path)
+        loaded = restored.distance_index
+        assert loaded.kind == "labels"
+        fresh = IndexFramework.build(restored.space).distance_index
+        for u in fresh.door_ids:
+            for v in fresh.door_ids:
+                assert loaded.distance(u, v) == fresh.distance(u, v)
+            assert list(loaded.doors_by_distance(u)) == list(
+                fresh.doors_by_distance(u)
+            )
 
 
 class TestCorruption:
