@@ -5,11 +5,11 @@ Figures: fig6 fig7 fig8a fig8b fig8c fig9a fig9b fig9c, or ``all``.
 EXPERIMENTS.md's measured sections); ``--json PATH`` writes the raw row
 dicts as machine-readable JSON (``{"scale": ..., "figures": {name: rows}}``).
 
-``--gate`` skips the figures and instead replays the committed
-benchmarks (``BENCH_serve.json`` / ``BENCH_shard.json`` /
-``BENCH_labels.json``) against a fresh run, exiting non-zero on a
->tolerance regression of the speedup/compactness ratios or on any
-nonzero mismatch/degraded count (see :mod:`repro.bench.gate`).
+``--gate`` skips the figures and instead replays every committed
+``BENCH_*.json`` artifact of :data:`repro.bench.table.BENCHES` (serve,
+shard, labels, overload, reconfig) against a fresh run, exiting non-zero
+on a >tolerance regression of a gated ratio or on any failed hard check
+(see :mod:`repro.bench.gate`).
 """
 
 from __future__ import annotations

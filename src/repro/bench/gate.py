@@ -1,192 +1,90 @@
 """Benchmark regression gate: ``python -m repro bench --gate``.
 
-Compares a fresh measurement against the benchmark artifacts committed
-at the repo root (``BENCH_serve.json``, ``BENCH_shard.json``,
-``BENCH_labels.json``, ``BENCH_overload.json``, ``BENCH_reconfig.json``)
-and exits non-zero when the serving tiers, the labels backend, the
-overload-control stack, or live reconfiguration regressed.  Two kinds of
-checks:
+For every record of :data:`repro.bench.table.BENCHES` whose artifact is
+committed at the repo root, replays the artifact's own scale and seed
+(so the comparison is workload-identical by construction) and exits
+non-zero when the fresh result regressed.  Two kinds of checks:
 
-* **ratio metrics** (``speedup``, ``speedup_vs_service``,
-  ``bytes_ratio``, ``availability``) — compared with a relative
-  tolerance (default 20%).
-  Ratios divide out the host's absolute speed, so a fresh run on a
-  slower machine still gates meaningfully; absolute qps/wall numbers are
-  deliberately *not* compared across machines.
-* **exactness metrics** (``mismatches``, ``degraded``) — hard equality
-  against zero, no tolerance ever: a serving tier that returns one wrong
-  or silently partial answer has failed regardless of how fast it is.
-
-The fresh run replays the committed artifact's own scale and seed, so
-the comparison is workload-identical by construction.
+* **ratio metrics** (the record's ``ratios``: speedups, ``bytes_ratio``,
+  goodput, availability) — compared with a relative tolerance (default
+  20%).  Ratios divide out the host's absolute speed, so a fresh run on
+  a slower machine still gates meaningfully; absolute qps/wall numbers
+  are deliberately *not* compared across machines.
+* **hard checks** (the record's ``hard``: zero mismatches, zero
+  degraded or unavailable answers, p99 inside the SLO) — no tolerance
+  ever, and the very conditions the bench's own subcommand exits on: a
+  serving tier that returns one wrong or silently partial answer has
+  failed regardless of how fast it is.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
+
+from repro.bench import table
+from repro.bench.table import BenchSpec, hard_checks, lookup
 
 #: Relative slack for ratio metrics (fresh >= committed * (1 - tol)).
 DEFAULT_TOLERANCE = 0.20
 
-#: artifact file -> (ratio metric paths, exact-zero metric paths)
-GATE_ARTIFACTS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
-    "BENCH_serve.json": (("speedup",), ("mismatches",)),
-    "BENCH_shard.json": (
-        ("speedup", "speedup_vs_service"),
-        ("mismatches", "sharded.degraded"),
-    ),
-    "BENCH_labels.json": (
-        ("quick.bytes_ratio",),
-        ("quick.mismatches",),
-    ),
-    "BENCH_overload.json": (
-        ("protected.goodput_ratio_capped", "protected.slo_attainment"),
-        ("mismatches",),
-    ),
-    "BENCH_reconfig.json": (
-        ("rolling.availability", "rolling.answered_fraction"),
-        ("rolling.mismatches", "rolling.epoch_mix_violations"),
-    ),
-}
-
-
-def _lookup(result: Dict[str, Any], path: str) -> Any:
-    value: Any = result
-    for part in path.split("."):
-        value = value[part]
-    return value
-
 
 def compare_benchmarks(
-    artifact: str,
+    spec: BenchSpec,
     committed: Dict[str, Any],
     fresh: Dict[str, Any],
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> List[Dict[str, Any]]:
-    """Check ``fresh`` against ``committed`` for one artifact.
+    """Check ``fresh`` against ``committed`` for one benchmark.
 
     Returns one check dict per gated metric:
     ``{"artifact", "metric", "kind", "committed", "fresh", "ok", "detail"}``.
     """
-    if artifact not in GATE_ARTIFACTS:
-        raise ValueError(f"no gate definition for artifact {artifact!r}")
-    ratio_paths, exact_paths = GATE_ARTIFACTS[artifact]
     checks: List[Dict[str, Any]] = []
-    for path in ratio_paths:
-        committed_value = float(_lookup(committed, path))
-        fresh_value = float(_lookup(fresh, path))
+    for path in spec.ratios:
+        committed_value = float(lookup(committed, path))
+        fresh_value = float(lookup(fresh, path))
         floor = committed_value * (1.0 - tolerance)
-        ok = fresh_value >= floor
         checks.append({
-            "artifact": artifact,
+            "artifact": spec.artifact,
             "metric": path,
             "kind": "ratio",
             "committed": committed_value,
             "fresh": fresh_value,
-            "ok": ok,
+            "ok": fresh_value >= floor,
             "detail": (
                 f"fresh {fresh_value:.3f} vs floor {floor:.3f} "
                 f"(committed {committed_value:.3f}, tolerance {tolerance:.0%})"
             ),
         })
-    for path in exact_paths:
-        fresh_value = int(_lookup(fresh, path))
-        ok = fresh_value == 0
-        checks.append({
-            "artifact": artifact,
-            "metric": path,
-            "kind": "exact",
-            "committed": 0,
-            "fresh": fresh_value,
-            "ok": ok,
-            "detail": f"must be 0, measured {fresh_value}",
-        })
-    return checks
-
-
-def _fresh_serve(committed: Dict[str, Any]) -> Dict[str, Any]:
-    from repro.bench.serve import SERVE_PAPER, SERVE_QUICK, measure_serve
-
-    scale = SERVE_PAPER if committed.get("scale") == "paper" else SERVE_QUICK
-    return measure_serve(scale, seed=int(committed.get("seed", 0)))
-
-
-def _fresh_shard(committed: Dict[str, Any]) -> Dict[str, Any]:
-    from repro.bench.shard import SHARD_PAPER, SHARD_QUICK, measure_shard
-
-    scale = SHARD_PAPER if committed.get("scale") == "paper" else SHARD_QUICK
-    return measure_shard(scale, seed=int(committed.get("seed", 0)))
-
-
-def _fresh_labels(committed: Dict[str, Any]) -> Dict[str, Any]:
-    from repro.bench.labels import measure_labels_artifact
-
-    return measure_labels_artifact(seed=int(committed.get("seed", 0)))
-
-
-def _fresh_overload(committed: Dict[str, Any]) -> Dict[str, Any]:
-    from repro.bench.overload import (
-        OVERLOAD_PAPER,
-        OVERLOAD_QUICK,
-        measure_overload,
-    )
-
-    scale = (
-        OVERLOAD_PAPER if committed.get("scale") == "paper" else OVERLOAD_QUICK
-    )
-    return measure_overload(scale, seed=int(committed.get("seed", 0)))
-
-
-def _fresh_reconfig(committed: Dict[str, Any]) -> Dict[str, Any]:
-    from repro.bench.reconfig import (
-        RECONFIG_PAPER,
-        RECONFIG_QUICK,
-        measure_reconfig,
-    )
-
-    scale = (
-        RECONFIG_PAPER if committed.get("scale") == "paper" else RECONFIG_QUICK
-    )
-    return measure_reconfig(scale, seed=int(committed.get("seed", 0)))
-
-
-_FRESH_RUNNERS: Dict[str, Callable[[Dict[str, Any]], Dict[str, Any]]] = {
-    "BENCH_serve.json": _fresh_serve,
-    "BENCH_shard.json": _fresh_shard,
-    "BENCH_labels.json": _fresh_labels,
-    "BENCH_overload.json": _fresh_overload,
-    "BENCH_reconfig.json": _fresh_reconfig,
-}
+    return checks + hard_checks(spec, fresh)
 
 
 def run_gate(
-    root: Optional[Path] = None,
-    tolerance: float = DEFAULT_TOLERANCE,
-    artifacts: Optional[List[str]] = None,
+    root: Optional[Path] = None, tolerance: float = DEFAULT_TOLERANCE
 ) -> Dict[str, Any]:
     """Gate every committed artifact under ``root`` (default: cwd).
 
     Returns ``{"ok": bool, "checks": [...], "skipped": [...]}``; a
     missing artifact file is skipped (reported, not failed) so the gate
-    stays usable in repos that commit only one of the benchmarks.
+    stays usable in repos that commit only some of the benchmarks.
     """
     root = Path(root) if root is not None else Path.cwd()
-    names = artifacts if artifacts is not None else sorted(GATE_ARTIFACTS)
     checks: List[Dict[str, Any]] = []
     skipped: List[str] = []
-    for name in names:
-        if name not in GATE_ARTIFACTS:
-            raise ValueError(f"no gate definition for artifact {name!r}")
-        path = root / name
+    for spec in table.BENCHES:
+        path = root / spec.artifact
         if not path.exists():
-            skipped.append(name)
+            skipped.append(spec.artifact)
             continue
         with open(path) as handle:
             committed = json.load(handle)
-        fresh = _FRESH_RUNNERS[name](committed)
-        checks.extend(compare_benchmarks(name, committed, fresh, tolerance))
+        fresh = spec.measure(
+            spec.scale(committed.get("scale", "quick")),
+            int(committed.get("seed", 0)),
+        )
+        checks.extend(compare_benchmarks(spec, committed, fresh, tolerance))
     return {
         "ok": all(check["ok"] for check in checks),
         "checks": checks,

@@ -24,25 +24,23 @@ single-building scale of §VI.  For one scale the harness:
 
 The headline outputs are ``bytes_ratio`` (dense resident bytes over
 labels resident bytes — >1 means the labeling is smaller) and
-``mismatches`` (asserted 0: the backend is exact or it is wrong).
-``repro bench --gate`` regression-guards both through the committed
-``BENCH_labels.json``, which holds the ``quick`` section (see
-:mod:`repro.bench.gate`).
+``mismatches`` (must be 0: the backend is exact or it is wrong).  The
+scales are ``quick`` (seconds; the committed ``BENCH_labels.json``),
+``paper`` (the paper's ~1 300-door building) and ``campus`` (a
+ten-building composite, ~10x paper).
 
-Scale is selected through ``REPRO_BENCH_SCALE`` like every other
-harness: ``quick`` (default, seconds), ``paper`` (the paper's ~1 300-door
-building), or ``campus`` (a ten-building composite, ~10x paper).
+Its subcommand, scales, gated ratios and hard checks are one record in
+:mod:`repro.bench.table`.
 """
 
 from __future__ import annotations
 
 import gc
-import os
 import random
 import time
 import tracemalloc
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 from scipy.sparse.csgraph import dijkstra
@@ -120,15 +118,6 @@ LABELS_CAMPUS = LabelsScale(
     build_dense=False,
 )
 
-_SCALES = {scale.name: scale for scale in (LABELS_QUICK, LABELS_PAPER, LABELS_CAMPUS)}
-
-
-def current_labels_scale() -> LabelsScale:
-    """The scale selected by ``REPRO_BENCH_SCALE`` (default: quick)."""
-    name = os.environ.get("REPRO_BENCH_SCALE", "quick").strip().lower()
-    return _SCALES.get(name, LABELS_QUICK)
-
-
 def _generate_space(scale: LabelsScale, seed: int):
     """The benchmark space for one scale (building or campus composite)."""
     building = BuildingConfig(floors=scale.floors)
@@ -201,11 +190,8 @@ def _time_queries(
     return wall / (reps * len(pairs)) * 1e6
 
 
-def measure_labels(
-    scale: Optional[LabelsScale] = None, seed: int = 0
-) -> Dict[str, Any]:
+def measure_labels(scale: LabelsScale, seed: int = 0) -> Dict[str, Any]:
     """Run the labels benchmark at one scale; returns a JSON-ready dict."""
-    scale = scale or current_labels_scale()
     space = _generate_space(scale, seed)
     space.distance_graph.precompute()
     doors = len(space.topology.door_ids)
@@ -264,12 +250,6 @@ def measure_labels(
         "sampled_pairs": len(pairs),
         "mismatches": mismatches,
     }
-
-
-def measure_labels_artifact(seed: int = 0) -> Dict[str, Any]:
-    """The result committed as ``BENCH_labels.json``: the ``quick`` scale,
-    which ``repro bench --gate`` replays on every run."""
-    return {"seed": seed, "quick": measure_labels(LABELS_QUICK, seed=seed)}
 
 
 def render_labels_summary(result: Dict[str, Any]) -> str:

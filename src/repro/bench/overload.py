@@ -21,20 +21,18 @@ whether or not earlier answers came back — against two configurations:
   uselessness.
 
 Goodput counts only full-quality (paper-exact) answers delivered within
-the SLO.  The committed artifact gates on
-``protected.goodput_ratio_capped`` (protected goodput vs the best the
-unprotected service ever achieved, capped at 1.0 — the bar is 0.8)
-and ``protected.slo_attainment`` (fraction of exact answers within SLO),
-plus hard-zero ``mismatches`` — every exact protected answer is checked
-against the paper's sequential engine.
+the SLO.  The headline outputs are ``protected.goodput_ratio`` (protected
+goodput vs the best the unprotected service ever achieved — the bar is
+0.8), ``protected.p99_ms`` (must stay inside ``slo_ms``) and
+``mismatches`` — every exact protected answer is checked against the
+paper's sequential engine.
 
-Scale is selected through ``REPRO_BENCH_SCALE`` like the other
-benchmarks: ``quick`` (default, seconds) or ``paper``.
+Its subcommand, scales, gated ratios and hard checks are one record in
+:mod:`repro.bench.table`.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -124,14 +122,6 @@ OVERLOAD_PAPER = OverloadScale(
 )
 
 
-def current_overload_scale() -> OverloadScale:
-    """The scale selected by ``REPRO_BENCH_SCALE`` (default: quick)."""
-    name = os.environ.get("REPRO_BENCH_SCALE", "quick").strip().lower()
-    if name == "paper":
-        return OVERLOAD_PAPER
-    return OVERLOAD_QUICK
-
-
 _EXACT_QUALITIES = (QualityLevel.EXACT_INDEXED, QualityLevel.EXACT_FALLBACK)
 
 
@@ -205,11 +195,8 @@ def _flash_crowd_stream(
     return stream, peak_rate
 
 
-def measure_overload(
-    scale: Optional[OverloadScale] = None, seed: int = 0
-) -> Dict[str, Any]:
+def measure_overload(scale: OverloadScale, seed: int = 0) -> Dict[str, Any]:
     """Run the overload benchmark; returns one JSON-ready result dict."""
-    scale = scale or current_overload_scale()
     building = generate_building(BuildingConfig(floors=scale.floors))
     building.space.distance_graph.precompute()
     store = build_object_store(building, scale.objects, seed=seed)

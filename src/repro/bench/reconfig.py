@@ -23,25 +23,20 @@ served_epoch`), reusing the chaos rung-guarantee checks — so
 ``mismatches`` counts answers that are not bit-identical to a freshly
 built index at their own epoch.  ``epoch_mix_violations`` counts merges
 whose shard replies straddle two epochs; the fencing invariant says both
-must be **zero**, and the bench gate holds them there.
+must be **zero**.  The headline ratio is ``rolling.availability``
+(fraction of attempts answered at full exact quality *while the topology
+was changing underneath*).
 
-The committed artifact (``BENCH_reconfig.json``) gates on
-``rolling.availability`` (fraction of attempts answered at full exact
-quality *while the topology was changing underneath*) as a ratio metric,
-plus hard-zero ``rolling.mismatches`` and
-``rolling.epoch_mix_violations``.
-
-Scale is selected through ``REPRO_BENCH_SCALE`` like the other
-benchmarks: ``quick`` (default, seconds) or ``paper`` (more rounds).
+Its subcommand, scales, gated ratios and hard checks are one record in
+:mod:`repro.bench.table`.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.chaos.oracles import DifferentialOracle, OracleViolation
 from repro.geometry import Point, Segment
@@ -103,14 +98,6 @@ RECONFIG_PAPER = ReconfigScale(
     pump_pause_ms=1.0,
     settle_s=1.0,
 )
-
-
-def current_reconfig_scale() -> ReconfigScale:
-    """The scale selected by ``REPRO_BENCH_SCALE`` (default: quick)."""
-    name = os.environ.get("REPRO_BENCH_SCALE", "quick").strip().lower()
-    if name == "paper":
-        return RECONFIG_PAPER
-    return RECONFIG_QUICK
 
 
 #: The door every round toggles: Figure 1's d24 (rooms 21-22 stay
@@ -250,14 +237,11 @@ def _summarise(
     }
 
 
-def measure_reconfig(
-    scale: Optional[ReconfigScale] = None, seed: int = 0
-) -> Dict[str, Any]:
+def measure_reconfig(scale: ReconfigScale, seed: int = 0) -> Dict[str, Any]:
     """Run the reconfiguration benchmark; returns one JSON-ready dict."""
     import tempfile
     from pathlib import Path
 
-    scale = scale or current_reconfig_scale()
     base = build_figure1()
     objects = [
         obj for obj, _ in generate_objects(base, scale.objects, seed=seed)

@@ -10,22 +10,20 @@ spots: lobbies, gates, food courts) is answered twice:
 * **service** — a :class:`~repro.serve.service.QueryService` with the
   epoch-keyed cache and shared-work batching enabled.
 
-Both runs must produce identical answers (the ``mismatches`` field in the
-result is asserted to be 0 by the test suite); the interesting outputs
-are throughput, speedup, cache hit-rate, and latency percentiles.
+Both runs must produce identical answers (``mismatches`` must be 0);
+the interesting outputs are throughput, speedup, cache hit-rate, and
+latency percentiles.
 
-Scale is selected through ``REPRO_BENCH_SCALE`` like the figure harness:
-``quick`` (default, seconds) or ``paper`` (a larger building and
-workload).
+Its subcommand, scales, gated ratios and hard checks are one record in
+:mod:`repro.bench.table`.
 """
 
 from __future__ import annotations
 
-import os
 import random
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.index.framework import IndexFramework
 from repro.queries.engine import QueryEngine
@@ -93,14 +91,6 @@ SERVE_PAPER = ServeScale(
 )
 
 
-def current_serve_scale() -> ServeScale:
-    """The scale selected by ``REPRO_BENCH_SCALE`` (default: quick)."""
-    name = os.environ.get("REPRO_BENCH_SCALE", "quick").strip().lower()
-    if name == "paper":
-        return SERVE_PAPER
-    return SERVE_QUICK
-
-
 def build_serve_workload(
     building: SyntheticBuilding, scale: ServeScale, seed: int = 0
 ) -> List[QueryRequest]:
@@ -140,9 +130,7 @@ def _answer_naive(engine: QueryEngine, request: QueryRequest) -> Any:
     return engine.distance(request.position, request.target)
 
 
-def measure_serve(
-    scale: Optional[ServeScale] = None, seed: int = 0
-) -> Dict[str, Any]:
+def measure_serve(scale: ServeScale, seed: int = 0) -> Dict[str, Any]:
     """Run the serving benchmark; returns one JSON-ready result dict.
 
     The dict carries the workload shape, wall time and throughput for
@@ -151,7 +139,6 @@ def measure_serve(
     from the naive sequential answers (must be 0: batching and caching
     are exactness-preserving).
     """
-    scale = scale or current_serve_scale()
     building = generate_building(BuildingConfig(floors=scale.floors))
     building.space.distance_graph.precompute()
     store = build_object_store(building, scale.objects, seed=seed)

@@ -27,16 +27,14 @@ serving-tier properties the thread pool cannot have:
   aggregate cache covers a working set that a single budget-bound cache
   keeps evicting.
 
-All three runs must produce identical answers (``mismatches`` is
-asserted 0 by the test suite, and the sharded run must stay
-``EXACT_INDEXED`` with no partial responses — ``degraded`` must be 0),
-so the interesting outputs are throughput and the two speedups:
-``speedup`` (sharded vs naive) and ``speedup_vs_service`` (sharded vs
-the thread tier) — the ratios ``repro bench --gate`` guards against
-regression.
+All three runs must produce identical answers (``mismatches`` must be
+0, and the sharded run must stay ``EXACT_INDEXED`` with no partial
+responses — ``degraded`` must be 0), so the interesting outputs are
+throughput and the two speedups: ``speedup`` (sharded vs naive) and
+``speedup_vs_service`` (sharded vs the thread tier).
 
-Scale is selected through ``REPRO_BENCH_SCALE`` like every other
-harness: ``quick`` (default, seconds) or ``paper``.
+Its subcommand, scales, gated ratios and hard checks are one record in
+:mod:`repro.bench.table`.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from repro.index.framework import IndexFramework
 from repro.queries.engine import QueryEngine
@@ -129,28 +127,14 @@ SHARD_PAPER = ShardScale(
 )
 
 
-def current_shard_scale() -> ShardScale:
-    """The scale selected by ``REPRO_BENCH_SCALE`` (default: quick)."""
-    name = os.environ.get("REPRO_BENCH_SCALE", "quick").strip().lower()
-    if name == "paper":
-        return SHARD_PAPER
-    return SHARD_QUICK
-
-
-def measure_shard(
-    scale: Optional[ShardScale] = None,
-    seed: int = 0,
-    start_method: str = "spawn",
-) -> Dict[str, Any]:
+def measure_shard(scale: ShardScale, seed: int = 0) -> Dict[str, Any]:
     """Run the sharded benchmark; returns one JSON-ready result dict.
 
     Both served tiers get the same answer-cache capacity so the
     comparison isolates the execution model (threads vs processes), not
-    the cache.  ``start_method`` exists for the test suite (``fork``
-    starts an order of magnitude faster); startup time is excluded from
-    the measured walls either way.
+    the cache.  Workers start with ``spawn``; startup time is excluded
+    from the measured walls.
     """
-    scale = scale or current_shard_scale()
     building = generate_building(BuildingConfig(floors=scale.floors))
     building.space.distance_graph.precompute()
     store = build_object_store(building, scale.objects, seed=seed)
@@ -184,7 +168,7 @@ def measure_shard(
         shards=scale.shards,
         client_threads=scale.client_threads,
         cache_capacity=cache_capacity,
-        start_method=start_method,
+        start_method="spawn",
     )
     with sharded:
         start = time.perf_counter()
@@ -236,7 +220,7 @@ def measure_shard(
             "qps": shard_qps,
             "shards": scale.shards,
             "client_threads": scale.client_threads,
-            "start_method": start_method,
+            "start_method": "spawn",
             "restarts": restarts,
             "degraded": degraded,
         },

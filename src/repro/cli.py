@@ -22,38 +22,15 @@ Commands:
 * ``export-figure1 OUT.json`` — write the paper's running-example floor
   plan to a JSON file (a starting point for experiments);
 * ``bench ...`` — alias for ``python -m repro.bench ...``;
-* ``serve-bench [--json OUT.json] [--seed N]`` — closed-loop serving
-  benchmark: naive sequential :class:`~repro.queries.engine.QueryEngine`
-  loop vs. the batched + cached :class:`~repro.serve.QueryService`
-  (scale via ``REPRO_BENCH_SCALE``, like ``bench``);
-* ``shard-bench [--json OUT.json] [--seed N]`` — three-way serving
-  benchmark adding the multi-process
-  :class:`~repro.shard.ShardedQueryService` tier to the comparison
-  (scale via ``REPRO_BENCH_SCALE``); exit 0 iff every tier's answers
-  match the sequential engine bit-for-bit;
-* ``labels-bench [--json OUT.json] [--seed N] [--artifact]`` — distance
-  backends head to head: the 2-hop labeling of :mod:`repro.labels` vs
-  the dense M_d2d/M_idx pair (build time, resident bytes, bitwise
-  agreement on sampled pairs; scale via ``REPRO_BENCH_SCALE``, plus a
-  ``campus`` scale where the dense matrices are analytic-only);
-  ``--artifact`` measures the committed ``BENCH_labels.json``;
-* ``overload-bench [--json OUT.json] [--seed N]`` — open-loop flash
-  crowd: an unprotected :class:`~repro.serve.QueryService` driven past
-  its collapse point, then the adaptive limiter + shed policy offered
-  2x that load (scale via ``REPRO_BENCH_SCALE``); exit 0 iff the
-  protected run holds its p99 inside the SLO at >= 0.8x the unprotected
-  peak goodput with zero exact-answer mismatches;
-* ``reconfig-bench [--json OUT.json] [--seed N]`` — live topology
-  reconfiguration: an epoch-fenced rolling update of the sharded tier
-  vs a stop-the-world restart, under a continuous query pump
-  (availability, p50/p99, per-epoch differential mismatches, epoch-mix
-  violations; scale via ``REPRO_BENCH_SCALE``); exit 0 iff the rolling
-  run had zero mismatches, zero epoch mixes, and zero unavailable
-  attempts;
-* ``bench --gate [--tolerance T]`` — regression-gate the committed
-  ``BENCH_serve.json`` / ``BENCH_shard.json`` / ``BENCH_labels.json`` /
-  ``BENCH_overload.json`` / ``BENCH_reconfig.json`` artifacts against a
-  fresh run (exit non-zero on regression; see :mod:`repro.bench.gate`);
+* ``serve-bench`` / ``shard-bench`` / ``labels-bench`` /
+  ``overload-bench`` / ``reconfig-bench`` ``[--json OUT.json] [--seed N]``
+  — one subcommand per record of :data:`repro.bench.table.BENCHES`:
+  measure at the ``REPRO_BENCH_SCALE`` scale (default ``quick``), print
+  a summary, optionally write the result dict; exit 0 iff every hard
+  check the record declares holds;
+* ``bench --gate [--tolerance T]`` — regression-gate every committed
+  ``BENCH_*.json`` artifact of the same table against a fresh run (exit
+  non-zero on regression; see :mod:`repro.bench.gate`);
 * ``chaos run [--seed N] [--duration-ops M] [--report OUT.json]
   [--shards N] [--workload mixed|flash-crowd] [--hedging]
   [--reconfig]`` — a
@@ -536,137 +513,24 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return bench_main(args.bench_args)
 
 
-def _cmd_serve_bench(args: argparse.Namespace) -> int:
+def _cmd_table_bench(args: argparse.Namespace) -> int:
     import json
 
-    from repro.bench.serve import (
-        current_serve_scale,
-        measure_serve,
-        render_serve_summary,
-    )
+    from repro.bench.table import hard_checks
 
-    scale = current_serve_scale()
-    print(
-        f"# scale: {scale.name} (set REPRO_BENCH_SCALE=paper for full runs)"
-    )
-    result = measure_serve(scale, seed=args.seed)
-    print(render_serve_summary(result))
+    spec = args.spec
+    scale = spec.scale()
+    print(f"# scale: {scale.name} (REPRO_BENCH_SCALE: {' | '.join(spec.scales)})")
+    result = spec.measure(scale, args.seed)
+    print(spec.render(result))
     if args.json:
         with open(args.json, "w") as handle:
             json.dump(result, handle, indent=2, sort_keys=True)
             handle.write("\n")
         print(f"# wrote {args.json}")
-    return 0 if result["mismatches"] == 0 else 1
-
-
-def _cmd_shard_bench(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.bench.shard import (
-        current_shard_scale,
-        measure_shard,
-        render_shard_summary,
-    )
-
-    scale = current_shard_scale()
-    print(
-        f"# scale: {scale.name} (set REPRO_BENCH_SCALE=paper for full runs)"
-    )
-    result = measure_shard(scale, seed=args.seed)
-    print(render_shard_summary(result))
-    if args.json:
-        with open(args.json, "w") as handle:
-            json.dump(result, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"# wrote {args.json}")
-    failed = result["mismatches"] != 0 or result["sharded"]["degraded"] != 0
-    return 1 if failed else 0
-
-
-def _cmd_labels_bench(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.bench.labels import (
-        current_labels_scale,
-        measure_labels,
-        measure_labels_artifact,
-        render_labels_summary,
-    )
-
-    if args.artifact:
-        result = measure_labels_artifact(seed=args.seed)
-        summary = result["quick"]
-    else:
-        scale = current_labels_scale()
-        print(
-            f"# scale: {scale.name} "
-            "(set REPRO_BENCH_SCALE=paper|campus for larger runs)"
-        )
-        result = summary = measure_labels(scale, seed=args.seed)
-    print(render_labels_summary(summary))
-    if args.json:
-        with open(args.json, "w") as handle:
-            json.dump(result, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"# wrote {args.json}")
-    return 0 if summary["mismatches"] == 0 else 1
-
-
-def _cmd_overload_bench(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.bench.overload import (
-        current_overload_scale,
-        measure_overload,
-        render_overload_summary,
-    )
-
-    scale = current_overload_scale()
-    print(
-        f"# scale: {scale.name} (set REPRO_BENCH_SCALE=paper for full runs)"
-    )
-    result = measure_overload(scale, seed=args.seed)
-    print(render_overload_summary(result))
-    if args.json:
-        with open(args.json, "w") as handle:
-            json.dump(result, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"# wrote {args.json}")
-    protected = result["protected"]
-    failed = (
-        result["mismatches"] != 0
-        or protected["p99_ms"] > result["slo_ms"]
-        or protected["goodput_ratio"] < 0.8
-    )
-    return 1 if failed else 0
-
-
-def _cmd_reconfig_bench(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.bench.reconfig import (
-        current_reconfig_scale,
-        measure_reconfig,
-        render_reconfig_summary,
-    )
-
-    scale = current_reconfig_scale()
-    print(
-        f"# scale: {scale.name} (set REPRO_BENCH_SCALE=paper for more rounds)"
-    )
-    result = measure_reconfig(scale, seed=args.seed)
-    print(render_reconfig_summary(result))
-    if args.json:
-        with open(args.json, "w") as handle:
-            json.dump(result, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"# wrote {args.json}")
-    rolling = result["rolling"]
-    failed = (
-        rolling["mismatches"] != 0
-        or rolling["epoch_mix_violations"] != 0
-        or rolling["unavailable"] != 0
-    )
+    failed = [check for check in hard_checks(spec, result) if not check["ok"]]
+    for check in failed:
+        print(f"FAIL  {check['metric']}: {check['detail']}")
     return 1 if failed else 0
 
 
@@ -994,74 +858,17 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("bench_args", nargs=argparse.REMAINDER)
     bench.set_defaults(handler=_cmd_bench)
 
-    serve_bench = commands.add_parser(
-        "serve-bench",
-        help="serving throughput: QueryService vs sequential QueryEngine",
-    )
-    serve_bench.add_argument(
-        "--json", default=None, help="write the full result dict to this file"
-    )
-    serve_bench.add_argument(
-        "--seed", type=int, default=0, help="workload seed (default 0)"
-    )
-    serve_bench.set_defaults(handler=_cmd_serve_bench)
+    from repro.bench import table
 
-    shard_bench = commands.add_parser(
-        "shard-bench",
-        help="serving throughput: sharded processes vs thread pool vs "
-        "sequential engine",
-    )
-    shard_bench.add_argument(
-        "--json", default=None, help="write the full result dict to this file"
-    )
-    shard_bench.add_argument(
-        "--seed", type=int, default=0, help="workload seed (default 0)"
-    )
-    shard_bench.set_defaults(handler=_cmd_shard_bench)
-
-    labels_bench = commands.add_parser(
-        "labels-bench",
-        help="distance backends: 2-hop labeling vs dense matrix "
-        "(build time, resident bytes, bitwise agreement)",
-    )
-    labels_bench.add_argument(
-        "--json", default=None, help="write the full result dict to this file"
-    )
-    labels_bench.add_argument(
-        "--seed", type=int, default=0, help="workload seed (default 0)"
-    )
-    labels_bench.add_argument(
-        "--artifact", action="store_true",
-        help="measure the committed BENCH_labels.json artifact "
-        "(the quick section the gate replays)",
-    )
-    labels_bench.set_defaults(handler=_cmd_labels_bench)
-
-    overload_bench = commands.add_parser(
-        "overload-bench",
-        help="flash-crowd overload: adaptive limiter + shedding vs an "
-        "unprotected service driven past collapse",
-    )
-    overload_bench.add_argument(
-        "--json", default=None, help="write the full result dict to this file"
-    )
-    overload_bench.add_argument(
-        "--seed", type=int, default=0, help="workload seed (default 0)"
-    )
-    overload_bench.set_defaults(handler=_cmd_overload_bench)
-
-    reconfig_bench = commands.add_parser(
-        "reconfig-bench",
-        help="live topology reconfiguration: epoch-fenced rolling update "
-        "vs stop-the-world restart (availability, p99, exactness)",
-    )
-    reconfig_bench.add_argument(
-        "--json", default=None, help="write the full result dict to this file"
-    )
-    reconfig_bench.add_argument(
-        "--seed", type=int, default=0, help="workload seed (default 0)"
-    )
-    reconfig_bench.set_defaults(handler=_cmd_reconfig_bench)
+    for spec in table.BENCHES:
+        table_bench = commands.add_parser(spec.name, help=spec.help)
+        table_bench.add_argument(
+            "--json", default=None, help="write the full result dict to this file"
+        )
+        table_bench.add_argument(
+            "--seed", type=int, default=0, help="workload seed (default 0)"
+        )
+        table_bench.set_defaults(handler=_cmd_table_bench, spec=spec)
 
     chaos = commands.add_parser(
         "chaos", help="deterministic fault-injection campaigns"

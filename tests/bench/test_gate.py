@@ -8,173 +8,113 @@ from repro.bench.gate import (
     render_gate_report,
     run_gate,
 )
+from repro.bench.table import BENCHES, lookup
+from tests.bench.conftest import committed, violate, with_value
+
+SPECS = {spec.artifact: spec for spec in BENCHES}
+
+#: Every metric the gate reports per artifact: the ratio paths plus the
+#: hard checks, which are also the subcommand's exit conditions.
+GATED = {
+    "BENCH_serve.json": {"speedup", "mismatches"},
+    "BENCH_shard.json": {
+        "speedup",
+        "speedup_vs_service",
+        "mismatches",
+        "sharded.degraded",
+    },
+    "BENCH_labels.json": {"bytes_ratio", "mismatches"},
+    "BENCH_overload.json": {
+        "protected.goodput_ratio_capped",
+        "protected.slo_attainment",
+        "mismatches",
+        "protected.p99_ms",
+        "protected.goodput_ratio",
+    },
+    "BENCH_reconfig.json": {
+        "rolling.availability",
+        "rolling.answered_fraction",
+        "rolling.mismatches",
+        "rolling.epoch_mix_violations",
+        "rolling.unavailable",
+    },
+}
+
+SERVE = SPECS["BENCH_serve.json"]
 
 
 def _serve_result(speedup=2.0, mismatches=0):
     return {"speedup": speedup, "mismatches": mismatches}
 
 
-def _shard_result(speedup=2.5, vs_service=1.2, mismatches=0, degraded=0):
-    return {
-        "speedup": speedup,
-        "speedup_vs_service": vs_service,
-        "mismatches": mismatches,
-        "sharded": {"degraded": degraded},
-    }
+def test_every_record_is_gated():
+    assert set(SPECS) == set(GATED)
 
 
-def _overload_result(goodput=1.0, attainment=1.0, mismatches=0):
-    return {
-        "protected": {
-            "goodput_ratio_capped": goodput,
-            "slo_attainment": attainment,
-        },
-        "mismatches": mismatches,
-    }
+@pytest.mark.parametrize("artifact", sorted(GATED))
+class TestEveryArtifact:
+    def test_gates_exactly_the_declared_metrics(self, artifact):
+        result = committed(SPECS[artifact])
+        checks = compare_benchmarks(SPECS[artifact], result, result)
+        assert {check["metric"] for check in checks} == GATED[artifact]
+        assert all(check["ok"] for check in checks)
 
+    def test_ratios_fail_only_below_the_floor(self, artifact):
+        spec = SPECS[artifact]
+        result = committed(spec)
+        for path in spec.ratios:
+            value = lookup(result, path)
+            for factor, ok in ((0.85, True), (0.75, False), (9.0, True)):
+                fresh = with_value(result, path, value * factor)
+                check = next(
+                    c for c in compare_benchmarks(spec, result, fresh)
+                    if c["metric"] == path
+                )
+                assert check["kind"] == "ratio"
+                assert check["ok"] is ok, (path, factor)
 
-def _reconfig_result(
-    availability=0.9, answered=1.0, mismatches=0, epoch_mix=0
-):
-    return {
-        "rolling": {
-            "availability": availability,
-            "answered_fraction": answered,
-            "mismatches": mismatches,
-            "epoch_mix_violations": epoch_mix,
-        },
-    }
+    def test_hard_checks_have_no_tolerance(self, artifact):
+        spec = SPECS[artifact]
+        result = committed(spec)
+        for check in spec.hard:
+            fresh = violate(result, check)
+            failing = [
+                c for c in compare_benchmarks(spec, result, fresh, tolerance=0.99)
+                if not c["ok"]
+            ]
+            assert [(c["metric"], c["kind"]) for c in failing] == [
+                (check[0], "hard")
+            ]
 
 
 class TestCompareBenchmarks:
-    def test_passes_within_tolerance(self):
-        checks = compare_benchmarks(
-            "BENCH_serve.json", _serve_result(2.0), _serve_result(1.7)
-        )
-        assert all(check["ok"] for check in checks)
-
-    def test_fails_below_the_ratio_floor(self):
-        checks = compare_benchmarks(
-            "BENCH_serve.json", _serve_result(2.0), _serve_result(1.5)
-        )
+    def test_ratio_floor_is_committed_times_one_minus_tolerance(self):
+        checks = compare_benchmarks(SERVE, _serve_result(2.0), _serve_result(1.5))
         ratio = next(c for c in checks if c["metric"] == "speedup")
         assert not ratio["ok"]
-        # Floor is committed * (1 - tolerance).
         assert ratio["committed"] == 2.0
         assert "floor 1.600" in ratio["detail"]
 
-    def test_faster_fresh_run_always_passes_the_ratio(self):
+    def test_hard_check_detail_names_the_bound(self):
         checks = compare_benchmarks(
-            "BENCH_serve.json", _serve_result(2.0), _serve_result(9.0)
-        )
-        assert all(check["ok"] for check in checks)
-
-    def test_mismatches_have_no_tolerance(self):
-        checks = compare_benchmarks(
-            "BENCH_serve.json",
-            _serve_result(),
-            _serve_result(speedup=99.0, mismatches=1),
-            tolerance=0.99,
+            SERVE, _serve_result(), _serve_result(mismatches=3)
         )
         exact = next(c for c in checks if c["metric"] == "mismatches")
-        assert not exact["ok"]
-        assert exact["kind"] == "exact"
+        assert exact["committed"] == 0
+        assert exact["fresh"] == 3
+        assert exact["detail"] == "must be == 0, measured 3"
 
-    def test_shard_artifact_gates_both_ratios_and_degraded(self):
-        checks = compare_benchmarks(
-            "BENCH_shard.json", _shard_result(), _shard_result(degraded=3)
+    def test_a_path_valued_bound_reads_the_fresh_result(self):
+        overload = SPECS["BENCH_overload.json"]
+        result = committed(overload)
+        fresh = with_value(result, "slo_ms", 1.0)
+        p99 = next(
+            c for c in compare_benchmarks(overload, result, fresh)
+            if c["metric"] == "protected.p99_ms"
         )
-        by_metric = {c["metric"]: c for c in checks}
-        assert set(by_metric) == {
-            "speedup",
-            "speedup_vs_service",
-            "mismatches",
-            "sharded.degraded",
-        }
-        assert not by_metric["sharded.degraded"]["ok"]
-        assert by_metric["speedup_vs_service"]["ok"]
-
-    def test_overload_artifact_gates_goodput_attainment_and_mismatches(self):
-        checks = compare_benchmarks(
-            "BENCH_overload.json",
-            _overload_result(),
-            _overload_result(goodput=0.85, attainment=0.9),
-        )
-        by_metric = {c["metric"]: c for c in checks}
-        assert set(by_metric) == {
-            "protected.goodput_ratio_capped",
-            "protected.slo_attainment",
-            "mismatches",
-        }
-        # Committed 1.0 with the 20% tolerance puts the floor at 0.8 —
-        # exactly the acceptance bar for goodput under 2x collapse load.
-        assert all(check["ok"] for check in checks)
-        failing = compare_benchmarks(
-            "BENCH_overload.json",
-            _overload_result(),
-            _overload_result(goodput=0.7),
-        )
-        goodput = next(
-            c
-            for c in failing
-            if c["metric"] == "protected.goodput_ratio_capped"
-        )
-        assert not goodput["ok"]
-
-    def test_overload_mismatches_are_exact(self):
-        checks = compare_benchmarks(
-            "BENCH_overload.json",
-            _overload_result(),
-            _overload_result(mismatches=1),
-        )
-        exact = next(c for c in checks if c["metric"] == "mismatches")
-        assert not exact["ok"]
-        assert exact["kind"] == "exact"
-
-    def test_reconfig_artifact_gates_availability_and_fencing(self):
-        checks = compare_benchmarks(
-            "BENCH_reconfig.json",
-            _reconfig_result(),
-            _reconfig_result(availability=0.8),
-        )
-        by_metric = {c["metric"]: c for c in checks}
-        assert set(by_metric) == {
-            "rolling.availability",
-            "rolling.answered_fraction",
-            "rolling.mismatches",
-            "rolling.epoch_mix_violations",
-        }
-        # Committed 0.9 with 20% tolerance floors availability at 0.72.
-        assert all(check["ok"] for check in checks)
-        failing = compare_benchmarks(
-            "BENCH_reconfig.json",
-            _reconfig_result(),
-            _reconfig_result(availability=0.6),
-        )
-        availability = next(
-            c for c in failing if c["metric"] == "rolling.availability"
-        )
-        assert not availability["ok"]
-
-    def test_reconfig_epoch_mixing_is_exact(self):
-        # One merged answer straddling two epochs fails the gate no
-        # matter how available the rolling run was.
-        checks = compare_benchmarks(
-            "BENCH_reconfig.json",
-            _reconfig_result(),
-            _reconfig_result(availability=1.0, epoch_mix=1),
-        )
-        exact = next(
-            c
-            for c in checks
-            if c["metric"] == "rolling.epoch_mix_violations"
-        )
-        assert not exact["ok"]
-        assert exact["kind"] == "exact"
-
-    def test_unknown_artifact_rejected(self):
-        with pytest.raises(ValueError, match="no gate definition"):
-            compare_benchmarks("BENCH_bogus.json", {}, {})
+        assert not p99["ok"]
+        assert p99["committed"] == 1.0
+        assert "(slo_ms)" in p99["detail"]
 
 
 class TestRunGate:
@@ -182,24 +122,12 @@ class TestRunGate:
         report = run_gate(root=tmp_path)
         assert report["ok"] is True
         assert report["checks"] == []
-        assert report["skipped"] == [
-            "BENCH_labels.json",
-            "BENCH_overload.json",
-            "BENCH_reconfig.json",
-            "BENCH_serve.json",
-            "BENCH_shard.json",
-        ]
-
-    def test_unknown_artifact_name_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="no gate definition"):
-            run_gate(root=tmp_path, artifacts=["BENCH_bogus.json"])
+        assert report["skipped"] == [spec.artifact for spec in BENCHES]
 
 
 class TestRendering:
-    def test_report_lines_and_verdict(self, tmp_path):
-        checks = compare_benchmarks(
-            "BENCH_serve.json", _serve_result(2.0), _serve_result(1.0)
-        )
+    def test_report_lines_and_verdict(self):
+        checks = compare_benchmarks(SERVE, _serve_result(2.0), _serve_result(1.0))
         text = render_gate_report(
             {"ok": False, "checks": checks, "skipped": ["BENCH_shard.json"]}
         )

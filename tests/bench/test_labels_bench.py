@@ -6,7 +6,6 @@ from repro.bench.labels import (
     DENSE_BYTES_PER_CELL,
     LABELS_CAMPUS,
     LABELS_QUICK,
-    current_labels_scale,
     measure_labels,
     render_labels_summary,
 )
@@ -18,19 +17,6 @@ def quick_result():
 
 
 class TestScales:
-    def test_quick_is_the_default_scale(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BENCH_SCALE", raising=False)
-        assert current_labels_scale() is LABELS_QUICK
-
-    def test_scale_env_selects_campus(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_SCALE", "campus")
-        assert current_labels_scale() is LABELS_CAMPUS
-
-    def test_unknown_scale_falls_back_to_quick(self, monkeypatch):
-        """Same forgiving behavior as the Table-3 harness scales."""
-        monkeypatch.setenv("REPRO_BENCH_SCALE", "galactic")
-        assert current_labels_scale() is LABELS_QUICK
-
     def test_campus_skips_the_dense_build(self):
         assert LABELS_CAMPUS.build_dense is False
         assert LABELS_QUICK.build_dense is True

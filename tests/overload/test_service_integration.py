@@ -49,12 +49,17 @@ class TestLimiterIntegration:
             [range_request(p) for p in query_positions]
         )
         assert all(r.value is not None for r in responses)
-        # Every response observes its latency into the limiter window;
-        # 12 fast answers against a 250 ms SLO close at least one
-        # healthy 4-observation window, so the limit climbs.
+        # Every response observes exactly its ``latency_ms`` into the
+        # limiter, closing three 4-observation windows.  All inside the
+        # 250 ms SLO: every window is healthy and the limit climbs.  One
+        # past it (a stalled host): that window's p99 breaches, or the
+        # brake fires, and the limit falls.
         snapshot = limiter.snapshot()
-        assert snapshot["increases"] >= 1
-        assert limiter.limit > 8
+        if all(r.latency_ms <= 250.0 for r in responses):
+            assert snapshot["increases"] >= 1
+            assert limiter.limit > 8
+        else:
+            assert snapshot["decreases"] >= 1
 
     def test_full_quality_answers_refill_the_budget(
         self, limited_service, query_positions

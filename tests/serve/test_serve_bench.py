@@ -1,13 +1,12 @@
 """serve-bench plumbing: workload determinism, exactness, JSON output."""
 
+import dataclasses
 import json
 
+from repro.bench import table
 from repro.bench.serve import (
-    SERVE_PAPER,
-    SERVE_QUICK,
     ServeScale,
     build_serve_workload,
-    current_serve_scale,
     measure_serve,
     render_serve_summary,
 )
@@ -26,15 +25,7 @@ TINY = ServeScale(
     range_radius=10.0,
 )
 
-
-class TestScaleSelection:
-    def test_default_is_quick(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BENCH_SCALE", raising=False)
-        assert current_serve_scale() is SERVE_QUICK
-
-    def test_paper_scale_selected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_SCALE", "paper")
-        assert current_serve_scale() is SERVE_PAPER
+(SERVE,) = [spec for spec in table.BENCHES if spec.name == "serve-bench"]
 
 
 class TestWorkload:
@@ -65,9 +56,8 @@ class TestMeasure:
         assert "speedup" in summary and "mismatches: 0" in summary
 
     def test_cli_writes_json(self, tmp_path, monkeypatch, capsys):
-        import repro.bench.serve as serve_bench
-
-        monkeypatch.setattr(serve_bench, "current_serve_scale", lambda: TINY)
+        tiny = dataclasses.replace(SERVE, scales={"quick": TINY})
+        monkeypatch.setattr(table, "BENCHES", (tiny,))
         target = tmp_path / "bench.json"
         assert repro_main(["serve-bench", "--json", str(target), "--seed", "2"]) == 0
         payload = json.loads(target.read_text())
