@@ -40,7 +40,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.index.framework import IndexFramework
 from repro.queries.engine import QueryEngine
 from repro.overload import AdaptiveConcurrencyLimiter, RetryBudget
-from repro.runtime.ladder import QualityLevel
+from repro.runtime.ladder import RUNGS, QualityLevel
 from repro.serve.requests import QueryResponse
 from repro.serve.service import QueryService, ShedPolicy
 from repro.synthetic import (
@@ -51,7 +51,6 @@ from repro.synthetic import (
     flash_crowd_workload,
     generate_building,
 )
-from repro.bench.serve import _answer_naive
 
 
 @dataclass(frozen=True)
@@ -287,7 +286,9 @@ def measure_overload(scale: OverloadScale, seed: int = 0) -> Dict[str, Any]:
     for timed, response in zip(stress_stream, responses):
         if not _is_exact(response):
             continue
-        if response.value != _answer_naive(engine, timed.op.to_request()):
+        request = timed.op.to_request()
+        exact = RUNGS[request.kind][QualityLevel.EXACT_INDEXED]
+        if response.value != exact(engine.framework, request, None):
             mismatches += 1
 
     goodput_ratio = (

@@ -5,8 +5,9 @@ one-query-at-a-time model.  A seeded workload of range / kNN / pt2pt
 requests with zipf-ish position repetition (real indoor services see hot
 spots: lobbies, gates, food courts) is answered twice:
 
-* **naive** — a sequential loop over :class:`~repro.queries.engine.
-  QueryEngine`, one full index walk per request (the paper's model);
+* **naive** — a sequential loop over the exact indexed rung of
+  :data:`~repro.runtime.ladder.RUNGS` (Algorithms 4-6), one full index
+  walk per request (the paper's model);
 * **service** — a :class:`~repro.serve.service.QueryService` with the
   epoch-keyed cache and shared-work batching enabled.
 
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List
 
 from repro.index.framework import IndexFramework
-from repro.queries.engine import QueryEngine
+from repro.runtime.ladder import RUNGS, QualityLevel
 from repro.serve.requests import QueryKind, QueryRequest
 from repro.serve.service import QueryService
 from repro.synthetic import (
@@ -121,15 +122,6 @@ def build_serve_workload(
     return requests
 
 
-def _answer_naive(engine: QueryEngine, request: QueryRequest) -> Any:
-    """One request through the paper's sequential query surface."""
-    if request.kind is QueryKind.RANGE:
-        return engine.range_query(request.position, request.radius)
-    if request.kind is QueryKind.KNN:
-        return engine.knn(request.position, k=request.k)
-    return engine.distance(request.position, request.target)
-
-
 def measure_serve(scale: ServeScale, seed: int = 0) -> Dict[str, Any]:
     """Run the serving benchmark; returns one JSON-ready result dict.
 
@@ -143,7 +135,6 @@ def measure_serve(scale: ServeScale, seed: int = 0) -> Dict[str, Any]:
     building.space.distance_graph.precompute()
     store = build_object_store(building, scale.objects, seed=seed)
     framework = IndexFramework.build(building.space).with_objects(store)
-    engine = QueryEngine(framework)
     requests = build_serve_workload(building, scale, seed=seed)
     mix = {
         kind.value: sum(1 for r in requests if r.kind is kind)
@@ -151,11 +142,14 @@ def measure_serve(scale: ServeScale, seed: int = 0) -> Dict[str, Any]:
     }
 
     start = time.perf_counter()
-    naive_values = [_answer_naive(engine, request) for request in requests]
+    naive_values = [
+        RUNGS[request.kind][QualityLevel.EXACT_INDEXED](framework, request, None)
+        for request in requests
+    ]
     naive_wall_s = time.perf_counter() - start
 
     service = QueryService(
-        engine,
+        framework,
         workers=scale.workers,
         max_batch=scale.max_batch,
         queue_capacity=2 * scale.total_requests,  # never shed: exact answers

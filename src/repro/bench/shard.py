@@ -5,8 +5,8 @@ buys over both the paper's sequential model and the in-process
 :class:`~repro.serve.service.QueryService`.  The same seeded workload as
 the serving benchmark is answered three times:
 
-* **naive** — a sequential :class:`~repro.queries.engine.QueryEngine`
-  loop (the paper's model);
+* **naive** — a sequential loop over the exact indexed rung of
+  :data:`~repro.runtime.ladder.RUNGS` (the paper's model);
 * **service** — the thread-pooled, batched + cached ``QueryService``
   (GIL-bound: worker threads share one interpreter);
 * **sharded** — a :class:`~repro.shard.service.ShardedQueryService` with
@@ -45,11 +45,11 @@ from dataclasses import dataclass
 from typing import Any, Dict
 
 from repro.index.framework import IndexFramework
-from repro.queries.engine import QueryEngine
+from repro.runtime.ladder import RUNGS, QualityLevel
 from repro.serve.requests import QueryKind
 from repro.serve.service import QueryService
 from repro.shard.service import ShardedQueryService
-from repro.bench.serve import _answer_naive, build_serve_workload
+from repro.bench.serve import build_serve_workload
 from repro.synthetic import (
     BuildingConfig,
     build_object_store,
@@ -139,7 +139,6 @@ def measure_shard(scale: ShardScale, seed: int = 0) -> Dict[str, Any]:
     building.space.distance_graph.precompute()
     store = build_object_store(building, scale.objects, seed=seed)
     framework = IndexFramework.build(building.space).with_objects(store)
-    engine = QueryEngine(framework)
     requests = build_serve_workload(building, scale, seed=seed)
     mix = {
         kind.value: sum(1 for r in requests if r.kind is kind)
@@ -148,11 +147,14 @@ def measure_shard(scale: ShardScale, seed: int = 0) -> Dict[str, Any]:
     cache_capacity = scale.cache_capacity
 
     start = time.perf_counter()
-    naive_values = [_answer_naive(engine, request) for request in requests]
+    naive_values = [
+        RUNGS[request.kind][QualityLevel.EXACT_INDEXED](framework, request, None)
+        for request in requests
+    ]
     naive_wall_s = time.perf_counter() - start
 
     service = QueryService(
-        engine,
+        framework,
         workers=scale.service_workers,
         max_batch=scale.max_batch,
         queue_capacity=2 * scale.total_requests,  # never shed: exact answers

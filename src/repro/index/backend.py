@@ -45,6 +45,18 @@ def validate_backend(name: str) -> str:
     return name
 
 
+class DoorScanSource(Protocol):
+    """The sorted door scan Algorithms 5/6 consume: any
+    :class:`DistanceBackend`, or one batch's shared row memo
+    (:class:`repro.serve.SharedDoorScans`)."""
+
+    def doors_by_distance(
+        self, from_door: int, max_distance: Optional[float] = None
+    ) -> Iterator[Tuple[int, float]]:
+        """Yield ``(door_id, distance)`` nearest-first, stopping past
+        ``max_distance`` and never yielding unreachable doors."""
+
+
 @runtime_checkable
 class DistanceBackend(Protocol):
     """What the query algorithms require of a door-distance structure.

@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.exceptions import QueryError
 from repro.geometry import Point
+from repro.index.backend import DoorScanSource
 from repro.index.framework import IndexFramework
 from repro.queries.checks import require_finite_position
 
@@ -66,6 +67,7 @@ def knn_query(
     k: int,
     use_index: bool = True,
     deadline: Optional["Deadline"] = None,
+    door_scans: Optional[DoorScanSource] = None,
 ) -> List[Tuple[int, float]]:
     """The k objects nearest to ``position`` by indoor walking distance.
 
@@ -78,6 +80,9 @@ def knn_query(
         deadline: optional cooperative time budget, checked once per door
             scanned; raises
             :class:`~repro.exceptions.DeadlineExceededError` on expiry.
+        door_scans: where the sorted scan comes from (default: the
+            framework's distance backend); ignored when ``use_index`` is
+            False.
 
     Returns:
         Up to ``k`` pairs ``(object_id, distance)``, nearest first (fewer
@@ -97,6 +102,8 @@ def knn_query(
     space = framework.space
     host = space.require_host_partition(position)
     store = framework.objects
+    if door_scans is None:
+        door_scans = framework.distance_index
 
     top = _TopK(k)
     bucket = store.bucket(host.partition_id)
@@ -111,7 +118,7 @@ def knn_query(
         if math.isinf(to_door):
             continue
         scan = (
-            framework.distance_index.doors_by_distance(di)
+            door_scans.doors_by_distance(di)
             if use_index
             else framework.distance_index.doors_unsorted(di)
         )

@@ -11,6 +11,10 @@ the DPT: a partition whose f_dv fits entirely inside the remaining budget
 contributes its whole bucket without opening it; otherwise a grid-pruned
 ``rangeSearch`` from the door runs inside the bucket.
 
+``door_scans`` swaps the source of the sorted scan: a serving batch passes
+its :class:`~repro.serve.batch.SharedDoorScans` so co-batched queries from
+one host partition walk each M_idx row once.
+
 ``use_index=False`` reproduces the paper's §VI-B baseline: the same
 algorithm forced to scan the entire M_d2d row (no sorted order, no cutoff).
 
@@ -25,6 +29,7 @@ from typing import TYPE_CHECKING, List, Optional, Set
 
 from repro.exceptions import QueryError
 from repro.geometry import Point
+from repro.index.backend import DoorScanSource
 from repro.index.framework import IndexFramework
 from repro.queries.checks import require_finite, require_finite_position
 
@@ -38,6 +43,7 @@ def range_query(
     radius: float,
     use_index: bool = True,
     deadline: Optional["Deadline"] = None,
+    door_scans: Optional[DoorScanSource] = None,
 ) -> List[int]:
     """All object ids within walking distance ``radius`` of ``position``.
 
@@ -50,6 +56,9 @@ def range_query(
         deadline: optional cooperative time budget, checked once per door
             scanned; raises
             :class:`~repro.exceptions.DeadlineExceededError` on expiry.
+        door_scans: where the sorted scan comes from (default: the
+            framework's distance backend); ignored when ``use_index`` is
+            False.
 
     Returns:
         Sorted object ids (each object reported once).
@@ -70,6 +79,8 @@ def range_query(
     space = framework.space
     host = space.require_host_partition(position)
     store = framework.objects
+    if door_scans is None:
+        door_scans = framework.distance_index
 
     results: Set[int] = set()
     bucket = store.bucket(host.partition_id)
@@ -83,7 +94,7 @@ def range_query(
         if budget < 0:
             continue
         scan = (
-            framework.distance_index.doors_by_distance(di, max_distance=budget)
+            door_scans.doors_by_distance(di, max_distance=budget)
             if use_index
             else framework.distance_index.doors_unsorted(di)
         )

@@ -24,6 +24,11 @@ rung                  what it needs / what it guarantees
 
 Every answer is tagged with the :class:`QualityLevel` it was produced at,
 so callers can distinguish "exact" from "best effort under failure".
+
+:data:`RUNGS` is the one (query kind × rung) evaluator table: the resilient
+engine's ladder, the serving tier's shed / breaker rungs, the shard
+workers' exact answers and the benchmarks' sequential reference all look
+their evaluator up there.
 """
 
 from __future__ import annotations
@@ -31,14 +36,27 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Any, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.distance.door_count import door_count_pt2pt
-from repro.distance.point_to_point import pt2pt_distance_refined
+from repro.distance.point_to_point import pt2pt_distance, pt2pt_distance_refined
 from repro.exceptions import ReproError
 from repro.geometry import Point
 from repro.index.framework import IndexFramework
+from repro.queries.baselines import brute_force_knn, brute_force_range
+from repro.queries.knn_query import knn_query
+from repro.queries.range_query import range_query
 from repro.runtime.deadline import Deadline
+
+
+class QueryKind(enum.Enum):
+    """The query types the serving layer accepts (re-exported by
+    :mod:`repro.serve.requests`; defined here so :data:`RUNGS` can key on
+    it without importing the serving package)."""
+
+    RANGE = "range"
+    KNN = "knn"
+    PT2PT = "pt2pt"
 
 
 class QualityLevel(enum.IntEnum):
@@ -153,43 +171,96 @@ def door_count_knn(
 
 
 def euclidean_range(
-    framework: IndexFramework, position: Point, radius: float
+    objects: Iterable[Tuple[int, Point]], position: Point, radius: float
 ) -> List[int]:
-    """Range filter on the Euclidean lower bound: a superset of the true
-    answer (never misses a member), computed without touching the model."""
+    """Range filter on the Euclidean lower bound over ``(id, position)``
+    pairs: a superset of the true answer (never misses a member), computed
+    without touching the model."""
     return sorted(
-        obj.object_id
-        for obj in framework.objects
-        if euclidean_lower_bound(position, obj.position) <= radius + 1e-9
+        oid
+        for oid, at in objects
+        if euclidean_lower_bound(position, at) <= radius + 1e-9
     )
 
 
 def euclidean_knn(
-    framework: IndexFramework, position: Point, k: int
+    objects: Iterable[Tuple[int, Point]], position: Point, k: int
 ) -> List[Tuple[int, float]]:
-    """k nearest by straight-line distance — a last-resort ordering with the
-    lower-bound distances reported."""
+    """k nearest ``(id, position)`` pairs by straight-line distance — a
+    last-resort ordering with the lower-bound distances reported."""
     scored = sorted(
-        (euclidean_lower_bound(position, obj.position), obj.object_id)
-        for obj in framework.objects
+        (euclidean_lower_bound(position, at), oid) for oid, at in objects
     )
     return [(oid, dist) for dist, oid in scored[:k]]
 
 
-def door_count_distance_value(
-    framework: IndexFramework, source: Point, target: Point
+# ----------------------------------------------------------------------
+# The (query kind × rung) evaluator table.
+# ----------------------------------------------------------------------
+#: ``(framework, request, deadline) -> value``; ``request`` is a
+#: :class:`repro.serve.requests.QueryRequest` (or anything with its
+#: ``position`` / ``radius`` / ``k`` / ``target`` fields).
+Rung = Callable[[IndexFramework, Any, Optional[Deadline]], Any]
+
+
+def located(framework: IndexFramework) -> Iterator[Tuple[int, Point]]:
+    """The framework's objects as ``(id, position)`` pairs — what the
+    Euclidean evaluators consume."""
+    return ((obj.object_id, obj.position) for obj in framework.objects)
+
+
+def _door_count_distance(
+    framework: IndexFramework, request: Any, deadline: Optional[Deadline]
 ) -> float:
     """The DOOR_COUNT rung of pt2pt distance: the fewest-doors path's
     walking distance (an upper bound on the true minimum walk)."""
-    return door_count_pt2pt(framework.space, source, target).walking_distance
+    if deadline is not None:
+        deadline.check("door-count distance")
+    space = framework.space
+    return door_count_pt2pt(space, request.position, request.target).walking_distance
 
 
-def exact_fallback_distance(
-    framework: IndexFramework,
-    source: Point,
-    target: Point,
-    deadline: Optional[Deadline] = None,
-) -> float:
-    """The EXACT_FALLBACK rung of pt2pt distance: Algorithm 3 without the
-    cross-iteration memo table (fewer shared structures to go wrong)."""
-    return pt2pt_distance_refined(framework.space, source, target, deadline=deadline)
+RUNGS: Dict[QueryKind, Dict[QualityLevel, Rung]] = {
+    QueryKind.RANGE: {
+        QualityLevel.EXACT_INDEXED: lambda fw, rq, deadline: range_query(
+            fw, rq.position, rq.radius, deadline=deadline
+        ),
+        QualityLevel.EXACT_FALLBACK: lambda fw, rq, deadline: brute_force_range(
+            fw.space, fw.objects, rq.position, rq.radius, deadline=deadline
+        ),
+        QualityLevel.DOOR_COUNT: lambda fw, rq, deadline: door_count_range(
+            fw, rq.position, rq.radius, deadline=deadline
+        ),
+        QualityLevel.EUCLIDEAN: lambda fw, rq, deadline: euclidean_range(
+            located(fw), rq.position, rq.radius
+        ),
+    },
+    QueryKind.KNN: {
+        QualityLevel.EXACT_INDEXED: lambda fw, rq, deadline: knn_query(
+            fw, rq.position, rq.k, deadline=deadline
+        ),
+        QualityLevel.EXACT_FALLBACK: lambda fw, rq, deadline: brute_force_knn(
+            fw.space, fw.objects, rq.position, rq.k, deadline=deadline
+        ),
+        QualityLevel.DOOR_COUNT: lambda fw, rq, deadline: door_count_knn(
+            fw, rq.position, rq.k, deadline=deadline
+        ),
+        QualityLevel.EUCLIDEAN: lambda fw, rq, deadline: euclidean_knn(
+            located(fw), rq.position, rq.k
+        ),
+    },
+    QueryKind.PT2PT: {
+        QualityLevel.EXACT_INDEXED: lambda fw, rq, deadline: pt2pt_distance(
+            fw.space, rq.position, rq.target, deadline=deadline
+        ),
+        # Algorithm 3 without the cross-iteration memo table: fewer shared
+        # structures to go wrong.
+        QualityLevel.EXACT_FALLBACK: lambda fw, rq, deadline: (
+            pt2pt_distance_refined(fw.space, rq.position, rq.target, deadline=deadline)
+        ),
+        QualityLevel.DOOR_COUNT: _door_count_distance,
+        QualityLevel.EUCLIDEAN: lambda fw, rq, deadline: euclidean_lower_bound(
+            rq.position, rq.target
+        ),
+    },
+}

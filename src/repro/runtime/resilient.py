@@ -4,7 +4,9 @@ Wraps a :class:`~repro.queries.engine.QueryEngine` (or a bare
 :class:`~repro.index.IndexFramework`) behind admission control and the
 degradation ladder of :mod:`repro.runtime.ladder`:
 
-1. **Validation** — NaN / infinite radii and coordinates are rejected with
+1. **Validation** — each call becomes a
+   :class:`~repro.serve.requests.QueryRequest`, whose checks reject NaN /
+   infinite / negative radii, k < 1 and non-finite coordinates with
    :class:`~repro.exceptions.QueryError` before any work happens.
 2. **Freshness** — if the space's topology epoch moved past the framework's
    build epoch, the indexes are rebuilt under the bounded
@@ -17,13 +19,15 @@ degradation ladder of :mod:`repro.runtime.ladder`:
    is threaded through every rung's hot loop; on expiry the engine either
    degrades to the instantaneous Euclidean rung (default) or re-raises.
 
-Every answer is a :class:`~repro.runtime.ladder.ResilientResult` tagging
-the rung that produced it, so callers always know what they got.
+The rungs themselves are the shared :data:`~repro.runtime.ladder.RUNGS`
+table; this module only decides which rungs to try and which failures
+degrade.  Every answer is a :class:`~repro.runtime.ladder.ResilientResult`
+tagging the rung that produced it, so callers always know what they got.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple, Union
+from typing import Any, List, Optional, Tuple, Union
 
 from repro.exceptions import (
     CorruptIndexError,
@@ -35,24 +39,15 @@ from repro.exceptions import (
 )
 from repro.geometry import Point
 from repro.index.framework import IndexFramework
-from repro.queries.baselines import brute_force_knn, brute_force_range
-from repro.queries.checks import require_finite, require_finite_position
 from repro.queries.engine import QueryEngine
-from repro.queries.knn_query import knn_query
-from repro.queries.range_query import range_query
-from repro.runtime.deadline import DeadlineLike, as_deadline
+from repro.runtime.deadline import Deadline, DeadlineLike, as_deadline
 from repro.runtime.integrity import require_index_integrity
 from repro.runtime.ladder import (
+    RUNGS,
     QualityLevel,
+    QueryKind,
     ResilientResult,
     RungFailure,
-    door_count_distance_value,
-    door_count_knn,
-    door_count_range,
-    euclidean_knn,
-    euclidean_lower_bound,
-    euclidean_range,
-    exact_fallback_distance,
 )
 from repro.runtime.retry import RetryPolicy
 
@@ -187,17 +182,6 @@ class ResilientQueryEngine:
                     return False, rebuilt
         return True, rebuilt
 
-    def _deadline_failure(
-        self,
-        failures: List[RungFailure],
-        level: QualityLevel,
-        exc: DeadlineExceededError,
-    ) -> None:
-        """Record a deadline expiry, or re-raise when degradation is off."""
-        if not self.degrade_on_deadline:
-            raise exc
-        failures.append(RungFailure(level, exc))
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
@@ -205,100 +189,19 @@ class ResilientQueryEngine:
         self, position: Point, radius: float, deadline: DeadlineLike = None
     ) -> ResilientResult:
         """Ladder-protected range query; ``value`` is the sorted id list."""
-        deadline = as_deadline(deadline)
-        require_finite_position(position)
-        require_finite(radius, "range radius")
-        failures: List[RungFailure] = []
-        usable, rebuilt = self._admit_indexed_rung(failures)
-        if usable:
-            try:
-                value = range_query(
-                    self.framework, position, radius, deadline=deadline
-                )
-                return ResilientResult(
-                    value, QualityLevel.EXACT_INDEXED, tuple(failures), rebuilt
-                )
-            except DeadlineExceededError as exc:
-                self._deadline_failure(
-                    failures, QualityLevel.EXACT_INDEXED, exc
-                )
-            except _INDEX_FAULTS as exc:
-                failures.append(RungFailure(QualityLevel.EXACT_INDEXED, exc))
-        try:
-            value = brute_force_range(
-                self.space,
-                self.framework.objects,
-                position,
-                radius,
-                deadline=deadline,
-            )
-            return ResilientResult(
-                value, QualityLevel.EXACT_FALLBACK, tuple(failures), rebuilt
-            )
-        except DeadlineExceededError as exc:
-            self._deadline_failure(failures, QualityLevel.EXACT_FALLBACK, exc)
-        try:
-            value = door_count_range(
-                self.framework, position, radius, deadline=deadline
-            )
-            return ResilientResult(
-                value, QualityLevel.DOOR_COUNT, tuple(failures), rebuilt
-            )
-        except DeadlineExceededError as exc:
-            self._deadline_failure(failures, QualityLevel.DOOR_COUNT, exc)
-        value = euclidean_range(self.framework, position, radius)
-        return ResilientResult(
-            value, QualityLevel.EUCLIDEAN, tuple(failures), rebuilt
-        )
+        from repro.serve.requests import QueryRequest
+
+        request = QueryRequest.range_query(position, radius)
+        return self._descend(request, as_deadline(deadline))
 
     def knn(
         self, position: Point, k: int = 1, deadline: DeadlineLike = None
     ) -> ResilientResult:
         """Ladder-protected kNN; ``value`` is ``[(object_id, distance)]``."""
-        deadline = as_deadline(deadline)
-        require_finite_position(position)
-        failures: List[RungFailure] = []
-        usable, rebuilt = self._admit_indexed_rung(failures)
-        if usable:
-            try:
-                value = knn_query(
-                    self.framework, position, k, deadline=deadline
-                )
-                return ResilientResult(
-                    value, QualityLevel.EXACT_INDEXED, tuple(failures), rebuilt
-                )
-            except DeadlineExceededError as exc:
-                self._deadline_failure(
-                    failures, QualityLevel.EXACT_INDEXED, exc
-                )
-            except _INDEX_FAULTS as exc:
-                failures.append(RungFailure(QualityLevel.EXACT_INDEXED, exc))
-        try:
-            value = brute_force_knn(
-                self.space,
-                self.framework.objects,
-                position,
-                k,
-                deadline=deadline,
-            )
-            return ResilientResult(
-                value, QualityLevel.EXACT_FALLBACK, tuple(failures), rebuilt
-            )
-        except DeadlineExceededError as exc:
-            self._deadline_failure(failures, QualityLevel.EXACT_FALLBACK, exc)
-        try:
-            value = door_count_knn(
-                self.framework, position, k, deadline=deadline
-            )
-            return ResilientResult(
-                value, QualityLevel.DOOR_COUNT, tuple(failures), rebuilt
-            )
-        except DeadlineExceededError as exc:
-            self._deadline_failure(failures, QualityLevel.DOOR_COUNT, exc)
-        value = euclidean_knn(self.framework, position, k)
-        return ResilientResult(
-            value, QualityLevel.EUCLIDEAN, tuple(failures), rebuilt
-        )
+        from repro.serve.requests import QueryRequest
+
+        request = QueryRequest.knn(position, k)
+        return self._descend(request, as_deadline(deadline))
 
     def distance(
         self, source: Point, target: Point, deadline: DeadlineLike = None
@@ -309,34 +212,43 @@ class ResilientQueryEngine:
         matrix), so index faults cannot corrupt it — only deadline pressure
         pushes this query down the ladder.
         """
-        deadline = as_deadline(deadline)
-        require_finite_position(source, "source position")
-        require_finite_position(target, "target position")
+        from repro.serve.requests import QueryRequest
+
+        request = QueryRequest.pt2pt(source, target)
+        return self._descend(request, as_deadline(deadline))
+
+    def _descend(
+        self, request: Any, deadline: Optional[Deadline]
+    ) -> ResilientResult:
+        """Try the :data:`~repro.runtime.ladder.RUNGS` of ``request.kind``
+        best-first; the first rung that answers wins.
+
+        Range / kNN pass the index admission first, and only their indexed
+        rung degrades on index faults; pt2pt skips admission (its exact
+        rung never reads M_d2d).  A deadline expiry on any rung degrades
+        when ``degrade_on_deadline`` is set and propagates otherwise.  The
+        Euclidean rung needs neither indexes nor time, so it always
+        answers.
+        """
         failures: List[RungFailure] = []
-        try:
-            value = self.engine.distance(source, target, deadline=deadline)
-            return ResilientResult(
-                value, QualityLevel.EXACT_INDEXED, tuple(failures)
-            )
-        except DeadlineExceededError as exc:
-            self._deadline_failure(failures, QualityLevel.EXACT_INDEXED, exc)
-        try:
-            value = exact_fallback_distance(
-                self.framework, source, target, deadline=deadline
-            )
-            return ResilientResult(
-                value, QualityLevel.EXACT_FALLBACK, tuple(failures)
-            )
-        except DeadlineExceededError as exc:
-            self._deadline_failure(failures, QualityLevel.EXACT_FALLBACK, exc)
-        try:
-            if deadline is not None:
-                deadline.check("door-count distance")
-            value = door_count_distance_value(self.framework, source, target)
-            return ResilientResult(
-                value, QualityLevel.DOOR_COUNT, tuple(failures)
-            )
-        except DeadlineExceededError as exc:
-            self._deadline_failure(failures, QualityLevel.DOOR_COUNT, exc)
-        value = euclidean_lower_bound(source, target)
-        return ResilientResult(value, QualityLevel.EUCLIDEAN, tuple(failures))
+        usable, rebuilt, index_faults = True, False, ()
+        if request.kind is not QueryKind.PT2PT:
+            usable, rebuilt = self._admit_indexed_rung(failures)
+            index_faults = _INDEX_FAULTS
+        rungs = RUNGS[request.kind]
+        for level in sorted(rungs, reverse=True):
+            if level is QualityLevel.EXACT_INDEXED and not usable:
+                continue
+            try:
+                value = rungs[level](self.framework, request, deadline)
+            except DeadlineExceededError as exc:
+                if not self.degrade_on_deadline:
+                    raise
+                failures.append(RungFailure(level, exc))
+            except index_faults as exc:
+                if level is not QualityLevel.EXACT_INDEXED:
+                    raise
+                failures.append(RungFailure(level, exc))
+            else:
+                return ResilientResult(value, level, tuple(failures), rebuilt)
+        raise AssertionError("the Euclidean rung always answers")

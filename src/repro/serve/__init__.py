@@ -29,9 +29,7 @@ See ``docs/serving.md`` for the architecture and semantics, and
 from repro.serve.batch import (
     BatchGroup,
     SharedDoorScans,
-    batched_knn_query,
     batched_pt2pt_distances,
-    batched_range_query,
     execute_group,
     plan_batches,
 )
@@ -58,9 +56,7 @@ __all__ = [
     "SharedDoorScans",
     "ShedPolicy",
     "SupervisedQueryService",
-    "batched_knn_query",
     "batched_pt2pt_distances",
-    "batched_range_query",
     "execute_group",
     "plan_batches",
 ]

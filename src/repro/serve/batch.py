@@ -17,11 +17,11 @@ from its source doors.  This module amortises that work across a batch:
   (:func:`~repro.distance.point_to_point.pt2pt_distance`), so batching is
   never slower than the sequential engine.
 
-The batched evaluators replicate the exact control flow of
-:func:`~repro.queries.range_query.range_query` /
-:func:`~repro.queries.knn_query.knn_query` (with ``use_index=True``), so a
-batched answer is identical to the sequential answer — a property the test
-suite asserts bit-for-bit.
+Range / kNN groups run the one implementation of Algorithms 5 / 6
+(:func:`~repro.queries.range_query.range_query` /
+:func:`~repro.queries.knn_query.knn_query`) with the shared scans as their
+``door_scans`` source, so a batched answer is the sequential answer — a
+property the test suite asserts bit-for-bit on both distance backends.
 """
 
 from __future__ import annotations
@@ -45,156 +45,65 @@ from typing import (
 from repro.distance.point_to_point import pt2pt_distance
 from repro.exceptions import ReproError
 from repro.geometry import Point
-from repro.index.distance_matrix import DistanceIndexMatrix
+from repro.index.backend import DistanceBackend
 from repro.index.framework import IndexFramework
 from repro.model.builder import IndoorSpace
-from repro.queries.knn_query import _TopK
+from repro.queries.knn_query import knn_query
+from repro.queries.range_query import range_query
 from repro.serve.requests import QueryKind, QueryRequest
 
 
-class _SharedRow:
-    """One door's M_idx row, materialised on demand and shared."""
-
-    __slots__ = ("entries", "_source", "exhausted")
-
-    def __init__(self, source: Iterator[Tuple[int, float]]) -> None:
-        self.entries: List[Tuple[int, float]] = []
-        self._source: Optional[Iterator[Tuple[int, float]]] = source
-        self.exhausted = False
-
-    def ensure(self, n: int) -> bool:
-        """Materialise at least ``n`` entries; False when the row ran out."""
-        while len(self.entries) < n and not self.exhausted:
-            try:
-                self.entries.append(next(self._source))
-            except StopIteration:
-                self.exhausted = True
-                self._source = None
-        return len(self.entries) >= n
-
-
 class SharedDoorScans:
-    """Per-batch memo of sorted M_idx row prefixes.
+    """Per-batch memo of sorted door-scan row prefixes.
 
-    Each row is pulled from
-    :meth:`~repro.index.distance_matrix.DistanceIndexMatrix.doors_by_distance`
-    exactly once and only as deep as the deepest consumer needs; every
-    query in the batch then iterates the shared prefix.  Not thread-safe:
-    one instance belongs to one batch executed by one worker.
+    Each row is pulled from the distance backend's ``doors_by_distance``
+    (M_idx or the labels' sorted rows) exactly once, unbounded, and only as
+    deep as the deepest consumer needs; every query in the batch then
+    iterates the shared prefix.  Not thread-safe: one instance belongs to
+    one batch executed by one worker.
     """
 
-    def __init__(self, distance_index: DistanceIndexMatrix) -> None:
+    def __init__(self, distance_index: DistanceBackend) -> None:
         self._index = distance_index
-        self._rows: Dict[int, _SharedRow] = {}
+        # door id -> (materialised prefix, the backend scan feeding it)
+        self._rows: Dict[
+            int, Tuple[List[Tuple[int, float]], Iterator[Tuple[int, float]]]
+        ] = {}
         self.rows_opened = 0
         self.rows_reused = 0
 
-    def iter_from(self, door_id: int) -> Iterator[Tuple[int, float]]:
+    def doors_by_distance(
+        self, door_id: int, max_distance: Optional[float] = None
+    ) -> Iterator[Tuple[int, float]]:
         """Yield ``(door_id, distance)`` nearest-first from the shared row,
-        exactly as ``doors_by_distance(door_id)`` would."""
+        stopping exactly where the backend's ``doors_by_distance(door_id,
+        max_distance)`` would."""
         row = self._rows.get(door_id)
         if row is None:
-            row = _SharedRow(self._index.doors_by_distance(door_id))
+            row = ([], self._index.doors_by_distance(door_id))
             self._rows[door_id] = row
             self.rows_opened += 1
         else:
             self.rows_reused += 1
+        entries, source = row
         i = 0
-        while row.ensure(i + 1):
-            yield row.entries[i]
+        while True:
+            if i == len(entries):
+                try:
+                    entry = next(source, None)
+                except Exception:
+                    # A scan that died mid-row (index lost or corrupted)
+                    # must not be shared as a short, "exhausted" row.
+                    self._rows.pop(door_id, None)
+                    raise
+                if entry is None:
+                    return  # the row is exhausted
+                entries.append(entry)
+            entry = entries[i]
+            if max_distance is not None and entry[1] > max_distance:
+                return
+            yield entry
             i += 1
-
-
-def batched_range_query(
-    framework: IndexFramework,
-    position: Point,
-    radius: float,
-    scans: SharedDoorScans,
-) -> List[int]:
-    """Algorithm 5 over a shared door-scan substrate.
-
-    Control flow mirrors :func:`repro.queries.range_query.range_query`
-    with ``use_index=True`` line by line; only the M_idx row iteration is
-    routed through ``scans`` so that co-batched queries from the same host
-    partition walk each row once.
-    """
-    space = framework.space
-    host = space.require_host_partition(position)
-    store = framework.objects
-
-    results: set = set()
-    bucket = store.bucket(host.partition_id)
-    if bucket is not None:
-        results.update(oid for oid, _ in bucket.range_search(position, radius))
-
-    for di in sorted(space.topology.leaveable_doors(host.partition_id)):
-        budget = radius - space.dist_v(position, di, host)
-        if budget < 0:
-            continue
-        for dj, door_distance in scans.iter_from(di):
-            if door_distance > budget:
-                break  # shared row is sorted: nothing nearer remains
-            remaining = budget - door_distance
-            door_point = space.door(dj).midpoint
-            for partition_id, longest_reach in framework.dpt.record(dj).enterable():
-                target_bucket = store.bucket(partition_id)
-                if target_bucket is None:
-                    continue
-                if longest_reach <= remaining:
-                    results.update(target_bucket.object_ids())
-                else:
-                    results.update(
-                        oid
-                        for oid, _ in target_bucket.range_search(
-                            door_point, remaining
-                        )
-                    )
-    return sorted(results)
-
-
-def batched_knn_query(
-    framework: IndexFramework,
-    position: Point,
-    k: int,
-    scans: SharedDoorScans,
-) -> List[Tuple[int, float]]:
-    """Algorithm 6 (k extension) over a shared door-scan substrate.
-
-    Mirrors :func:`repro.queries.knn_query.knn_query` with
-    ``use_index=True``; the sorted per-door scan comes from ``scans`` so a
-    batch of same-partition kNN queries shares each M_idx row walk.
-    """
-    space = framework.space
-    host = space.require_host_partition(position)
-    store = framework.objects
-
-    top = _TopK(k)
-    bucket = store.bucket(host.partition_id)
-    if bucket is not None:
-        for object_id, distance in bucket.nn_search(position, bound=math.inf, k=k):
-            top.offer(object_id, distance)
-
-    for di in sorted(space.topology.leaveable_doors(host.partition_id)):
-        to_door = space.dist_v(position, di, host)
-        if math.isinf(to_door):
-            continue
-        for dj, door_distance in scans.iter_from(di):
-            reach = to_door + door_distance
-            if reach > top.bound:
-                break  # sorted scan: everything farther only grows
-            door_point = space.door(dj).midpoint
-            for partition_id, _ in framework.dpt.record(dj).enterable():
-                target_bucket = store.bucket(partition_id)
-                if target_bucket is None:
-                    continue
-                local_bound = top.bound - reach
-                if local_bound <= 0 and not math.isinf(top.bound):
-                    continue
-                for object_id, distance in target_bucket.nn_search(
-                    door_point, bound=local_bound, k=k
-                ):
-                    top.offer(object_id, reach + distance)
-    return top.results()
 
 
 def batched_pt2pt_distances(
@@ -396,12 +305,13 @@ def execute_group(
     for request in group.requests:
         try:
             if group.kind is QueryKind.RANGE:
-                value: Any = batched_range_query(
-                    framework, request.position, request.radius, scans
+                value: Any = range_query(
+                    framework, request.position, request.radius,
+                    door_scans=scans,
                 )
             else:
-                value = batched_knn_query(
-                    framework, request.position, request.k, scans
+                value = knn_query(
+                    framework, request.position, request.k, door_scans=scans
                 )
         except ReproError as exc:
             value = exc

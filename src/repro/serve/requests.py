@@ -15,7 +15,6 @@ shared batch, or a load-shedding rung.
 
 from __future__ import annotations
 
-import enum
 import itertools
 import threading
 from dataclasses import dataclass, field
@@ -24,15 +23,7 @@ from typing import Any, Optional, Tuple
 from repro.exceptions import QueryError
 from repro.geometry import Point
 from repro.queries.checks import require_finite, require_finite_position
-from repro.runtime.ladder import QualityLevel
-
-
-class QueryKind(enum.Enum):
-    """The query types the serving layer accepts."""
-
-    RANGE = "range"
-    KNN = "knn"
-    PT2PT = "pt2pt"
+from repro.runtime.ladder import QualityLevel, QueryKind
 
 
 _id_lock = threading.Lock()

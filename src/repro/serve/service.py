@@ -42,26 +42,16 @@ from repro.exceptions import (
 from repro.index.framework import IndexFramework
 from repro.overload.budget import RetryBudget, run_with_budget
 from repro.overload.limiter import AdaptiveConcurrencyLimiter
-from repro.queries.baselines import brute_force_knn, brute_force_range
 from repro.queries.engine import QueryEngine
 from repro.runtime.integrity import require_index_integrity
-from repro.runtime.ladder import (
-    QualityLevel,
-    door_count_distance_value,
-    door_count_knn,
-    door_count_range,
-    euclidean_knn,
-    euclidean_lower_bound,
-    euclidean_range,
-    exact_fallback_distance,
-)
+from repro.runtime.ladder import RUNGS, QualityLevel
 from repro.runtime.resilient import ResilientQueryEngine
 from repro.runtime.retry import RetryPolicy
 from repro.serve.batch import execute_group, plan_batches
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.cache import EpochLRUCache
 from repro.serve.metrics import MetricsRegistry
-from repro.serve.requests import QueryKind, QueryRequest, QueryResponse
+from repro.serve.requests import QueryRequest, QueryResponse
 
 _MISS = object()
 
@@ -451,7 +441,13 @@ class QueryService:
                 )
             for request, value in execute_group(framework, group):
                 waiters = pending[request.cache_key()]
-                if isinstance(value, StaleIndexError):
+                if isinstance(value, StaleIndexError) or (
+                    isinstance(value, ReproError)
+                    and framework.space.topology_epoch != epoch
+                ):
+                    # A mutation landed mid-query (a door can vanish
+                    # between the scan and its use): re-queue, the retry
+                    # runs at the new epoch.
                     for ticket in waiters:
                         self._retry(ticket, value)
                 elif isinstance(value, Exception):
@@ -544,45 +540,7 @@ class QueryService:
         if level is None:
             level = ticket.quality_cap
         try:
-            if request.kind is QueryKind.RANGE:
-                if level is QualityLevel.EXACT_FALLBACK:
-                    value: Any = brute_force_range(
-                        framework.space, framework.objects,
-                        request.position, request.radius,
-                    )
-                elif level is QualityLevel.DOOR_COUNT:
-                    value = door_count_range(
-                        framework, request.position, request.radius
-                    )
-                else:
-                    value = euclidean_range(
-                        framework, request.position, request.radius
-                    )
-            elif request.kind is QueryKind.KNN:
-                if level is QualityLevel.EXACT_FALLBACK:
-                    value = brute_force_knn(
-                        framework.space, framework.objects,
-                        request.position, request.k,
-                    )
-                elif level is QualityLevel.DOOR_COUNT:
-                    value = door_count_knn(
-                        framework, request.position, request.k
-                    )
-                else:
-                    value = euclidean_knn(framework, request.position, request.k)
-            else:
-                if level is QualityLevel.EXACT_FALLBACK:
-                    value = exact_fallback_distance(
-                        framework, request.position, request.target
-                    )
-                elif level is QualityLevel.DOOR_COUNT:
-                    value = door_count_distance_value(
-                        framework, request.position, request.target
-                    )
-                else:
-                    value = euclidean_lower_bound(
-                        request.position, request.target
-                    )
+            value = RUNGS[request.kind][level](framework, request, None)
         except ReproError as exc:
             self._fail(ticket, exc)
             return

@@ -63,6 +63,7 @@ caches invalidate naturally the moment the fence rises.
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Future
@@ -75,7 +76,12 @@ from repro.geometry import Point
 from repro.index.framework import IndexFramework
 from repro.overload.budget import RetryBudget
 from repro.overload.hedge import HedgePolicy
-from repro.runtime.ladder import QualityLevel, euclidean_lower_bound
+from repro.runtime.ladder import (
+    QualityLevel,
+    euclidean_knn,
+    euclidean_lower_bound,
+    euclidean_range,
+)
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.cache import EpochLRUCache
 from repro.serve.metrics import MetricsRegistry
@@ -283,21 +289,11 @@ class ScatterGatherRouter:
         start = time.perf_counter()
         self.metrics.increment("serve.requests")
         self.metrics.increment("serve.shed")
+        fleet = itertools.chain.from_iterable(self._objects.values())
         if request.kind is QueryKind.RANGE:
-            limit = request.radius + _RANGE_EPS
-            value: Any = sorted(
-                oid
-                for table in self._objects.values()
-                for oid, position in table
-                if euclidean_lower_bound(request.position, position) <= limit
-            )
+            value: Any = euclidean_range(fleet, request.position, request.radius)
         elif request.kind is QueryKind.KNN:
-            ranked = sorted(
-                (euclidean_lower_bound(request.position, position), oid)
-                for table in self._objects.values()
-                for oid, position in table
-            )
-            value = [(oid, dist) for dist, oid in ranked[: request.k]]
+            value = euclidean_knn(fleet, request.position, request.k)
         else:
             value = euclidean_lower_bound(request.position, request.target)
         self.metrics.increment("serve.degraded")
@@ -654,10 +650,9 @@ class ScatterGatherRouter:
         gap = sorted(set(missing) | set(fenced))
         for shard_id in gap:
             merged.extend(
-                oid
-                for oid, position in self._objects[shard_id]
-                if euclidean_lower_bound(request.position, position)
-                <= request.radius + _RANGE_EPS
+                euclidean_range(
+                    self._objects[shard_id], request.position, request.radius
+                )
             )
         quality = (
             QualityLevel.EXACT_INDEXED if not gap else QualityLevel.EUCLIDEAN
@@ -717,12 +712,15 @@ class ScatterGatherRouter:
             ranked.extend((dist, oid) for oid, dist in pairs)
         gap = sorted(set(missing) | set(fenced))
         for shard_id in gap:
-            # Every object of the missing shard enters at its Euclidean
-            # lower bound: reported distances stay <= the true walk, the
-            # rung guarantee the differential oracle checks.
+            # The missing shard's objects enter at their Euclidean lower
+            # bound: reported distances stay <= the true walk, the rung
+            # guarantee the differential oracle checks.  Only its k
+            # Euclidean-nearest can reach the merged top k.
             ranked.extend(
-                (euclidean_lower_bound(request.position, position), oid)
-                for oid, position in self._objects[shard_id]
+                (dist, oid)
+                for oid, dist in euclidean_knn(
+                    self._objects[shard_id], request.position, request.k
+                )
             )
         ranked.sort()
         quality = (

@@ -69,45 +69,31 @@ import time
 from typing import Any, Optional, Tuple
 
 from repro.exceptions import ReproError
-from repro.queries.engine import QueryEngine
+from repro.index.framework import IndexFramework
 from repro.runtime.deadline import Deadline
+from repro.runtime.ladder import RUNGS, QualityLevel
 from repro.serve.cache import EpochLRUCache
-from repro.serve.requests import QueryKind, QueryRequest
+from repro.serve.requests import QueryRequest
 from repro.shard.spec import ShardSpec, materialize
 
 #: Distinguishes "not cached" from any cached value (None, [], 0.0 …).
 _MISS = object()
 
 
-def evaluate_exact(
-    engine: QueryEngine,
-    request: QueryRequest,
-    deadline: Optional[Deadline] = None,
-) -> Any:
-    """One request on the exact indexed path, deadline forwarded.
-
-    Returns the same value shapes as the single-process service: a sorted
-    id list (range), ``(id, distance)`` pairs in ``(distance, id)`` order
-    (kNN), or metres (pt2pt) — the shapes the router's merge relies on.
-    """
-    if request.kind is QueryKind.RANGE:
-        return engine.range_query(
-            request.position, request.radius, deadline=deadline
-        )
-    if request.kind is QueryKind.KNN:
-        return engine.knn(request.position, request.k, deadline=deadline)
-    return engine.distance(request.position, request.target, deadline=deadline)
-
-
 def _evaluate_reply(
-    engine: QueryEngine,
+    framework: IndexFramework,
     seq: int,
     request: QueryRequest,
     budget_s: Optional[float],
     cache: Optional[EpochLRUCache] = None,
     epoch: int = 0,
 ) -> Tuple:
-    """Evaluate one query and shape its wire reply tuple.
+    """Evaluate one query on the exact indexed rung and shape its wire
+    reply tuple.
+
+    Values have the single-process service's shapes: a sorted id list
+    (range), ``(id, distance)`` pairs in ``(distance, id)`` order (kNN),
+    or metres (pt2pt) — the shapes the router's merge relies on.
 
     With a ``cache``, exact answers are memoised per request key: a
     worker re-serving a warm key skips the whole expansion and answers
@@ -122,7 +108,8 @@ def _evaluate_reply(
             return ("result", seq, hit, epoch)
     deadline = Deadline(budget_s) if budget_s is not None else None
     try:
-        value = evaluate_exact(engine, request, deadline)
+        exact = RUNGS[request.kind][QualityLevel.EXACT_INDEXED]
+        value = exact(framework, request, deadline)
     except ReproError as exc:
         return ("error", seq, type(exc).__name__, str(exc), epoch)
     if cache is not None:
@@ -188,7 +175,6 @@ def shard_worker_main(spec: ShardSpec, conn) -> None:
         # filled them, and a cold cache pays per-query geometry on the
         # serving path instead of once here.
         framework.space.distance_graph.precompute()
-        engine = QueryEngine(framework)
         cache = (
             EpochLRUCache(spec.cache_capacity)
             if spec.cache_capacity > 0
@@ -210,7 +196,9 @@ def shard_worker_main(spec: ShardSpec, conn) -> None:
             if op == "query":
                 _, seq, request, budget_s = message
                 conn.send(
-                    _evaluate_reply(engine, seq, request, budget_s, cache, epoch)
+                    _evaluate_reply(
+                        framework, seq, request, budget_s, cache, epoch
+                    )
                 )
             elif op == "batch":
                 # One combined reply per batch: the supervisor's send
@@ -219,7 +207,7 @@ def shard_worker_main(spec: ShardSpec, conn) -> None:
                     "batch_result",
                     [
                         _evaluate_reply(
-                            engine, seq, request, budget_s, cache, epoch
+                            framework, seq, request, budget_s, cache, epoch
                         )
                         for seq, request, budget_s in message[1]
                     ],
@@ -239,7 +227,6 @@ def shard_worker_main(spec: ShardSpec, conn) -> None:
                 target = int(target)
                 if staged is not None and staged[0] == target:
                     framework = staged[1]
-                    engine = QueryEngine(framework)
                     epoch = target
                     staged = None
                     conn.send(("commit_ack", target, True, "flipped"))

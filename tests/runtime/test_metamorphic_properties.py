@@ -24,17 +24,18 @@ from repro.chaos.oracles import (
     symmetry_violation,
     triangle_violation,
 )
+from repro.distance.door_count import door_count_pt2pt
+from repro.distance.point_to_point import pt2pt_distance_refined
 from repro.index import IndexFramework
 from repro.queries import brute_force_knn, brute_force_range
 from repro.queries.engine import QueryEngine
 from repro.runtime.ladder import (
-    door_count_distance_value,
     door_count_knn,
     door_count_range,
     euclidean_knn,
     euclidean_lower_bound,
     euclidean_range,
-    exact_fallback_distance,
+    located,
 )
 from repro.synthetic.workload import WorkloadOp
 from tests.strategies import metamorphic_cases, workload_cases
@@ -93,8 +94,8 @@ class TestDistanceInvariants:
         bound = euclidean_lower_bound(source, target)
         for served in (
             engine.distance(source, target),               # EXACT_INDEXED
-            exact_fallback_distance(framework, source, target),
-            door_count_distance_value(framework, source, target),
+            pt2pt_distance_refined(plan.space, source, target),  # FALLBACK
+            door_count_pt2pt(plan.space, source, target).walking_distance,
             bound,                                         # EUCLIDEAN rung
         ):
             if not math.isinf(served):
@@ -123,7 +124,7 @@ class TestRungGuarantees:
             assert fallback == truth  # EXACT_FALLBACK: identical answer
             door_count = door_count_range(framework, op.position, op.radius)
             assert set(door_count) <= set(truth)  # no false positives
-            euclid = euclidean_range(framework, op.position, op.radius)
+            euclid = euclidean_range(located(framework), op.position, op.radius)
             assert set(truth) <= set(euclid)  # never misses a member
 
     @RELAXED
@@ -148,7 +149,9 @@ class TestRungGuarantees:
                     op.position, engine.get_object(oid).position
                 )
                 assert reported >= true_distance - EPS * max(1.0, true_distance)
-            for oid, reported in euclidean_knn(framework, op.position, op.k):
+            for oid, reported in euclidean_knn(
+                located(framework), op.position, op.k
+            ):
                 true_distance = engine.distance(
                     op.position, engine.get_object(oid).position
                 )
@@ -164,13 +167,13 @@ class TestRungGuarantees:
             if op.kind != "pt2pt":
                 continue
             truth = engine.distance(op.position, op.target)
-            fallback = exact_fallback_distance(
-                framework, op.position, op.target
+            fallback = pt2pt_distance_refined(
+                plan.space, op.position, op.target
             )
             assert math.isclose(fallback, truth, rel_tol=1e-9, abs_tol=1e-9)
-            upper = door_count_distance_value(
-                framework, op.position, op.target
-            )
+            upper = door_count_pt2pt(
+                plan.space, op.position, op.target
+            ).walking_distance
             if not math.isinf(truth):
                 assert upper >= truth - EPS * max(1.0, truth)
             lower = euclidean_lower_bound(op.position, op.target)

@@ -2,15 +2,16 @@
 
 import math
 
+import pytest
+
 from repro.distance import pt2pt_distance
+from repro.exceptions import CorruptIndexError
 from repro.geometry import Point
 from repro.queries import knn_query, range_query
 from repro.serve import (
     QueryRequest,
     SharedDoorScans,
-    batched_knn_query,
     batched_pt2pt_distances,
-    batched_range_query,
     execute_group,
     plan_batches,
 )
@@ -62,24 +63,37 @@ class TestPlanning:
 
 
 class TestBitIdentical:
-    """Batched execution must equal sequential execution exactly —
-    same ids, same floats, same ordering."""
+    """Queries over shared scans must equal sequential execution exactly —
+    same ids, same floats, same ordering — on both distance backends."""
 
-    def test_range_matches_sequential(self, serve_framework, query_positions):
-        scans = SharedDoorScans(serve_framework.distance_index)
+    def test_range_matches_sequential(self, backend_framework, query_positions):
+        scans = SharedDoorScans(backend_framework.distance_index)
         for position in query_positions:
             for radius in (3.0, 8.0, 15.0):
-                assert batched_range_query(
-                    serve_framework, position, radius, scans
-                ) == range_query(serve_framework, position, radius, use_index=True)
+                assert range_query(
+                    backend_framework, position, radius, door_scans=scans
+                ) == range_query(backend_framework, position, radius)
+        assert scans.rows_reused > 0
 
-    def test_knn_matches_sequential(self, serve_framework, query_positions):
-        scans = SharedDoorScans(serve_framework.distance_index)
+    def test_knn_matches_sequential(self, backend_framework, query_positions):
+        scans = SharedDoorScans(backend_framework.distance_index)
         for position in query_positions:
             for k in (1, 3, 10):
-                assert batched_knn_query(
-                    serve_framework, position, k, scans
-                ) == knn_query(serve_framework, position, k, use_index=True)
+                assert knn_query(
+                    backend_framework, position, k, door_scans=scans
+                ) == knn_query(backend_framework, position, k)
+        assert scans.rows_reused > 0
+
+    def test_shared_scan_stops_where_the_backend_stops(
+        self, backend_framework
+    ):
+        index = backend_framework.distance_index
+        scans = SharedDoorScans(index)
+        for door_id in index.door_ids:
+            for bound in (None, 0.0, 5.0, 12.5):
+                assert list(scans.doors_by_distance(door_id, bound)) == list(
+                    index.doors_by_distance(door_id, bound)
+                )
 
     def test_pt2pt_matches_sequential(self, serve_framework, query_positions):
         space = serve_framework.space
@@ -99,40 +113,71 @@ class TestBitIdentical:
         assert got[0] == 0.0
 
     def test_executed_group_matches_sequential(
-        self, serve_framework, query_positions
+        self, backend_framework, query_positions
     ):
         position = query_positions[0]
         requests = [
             QueryRequest.range_query(position, radius)
             for radius in (4.0, 8.0, 16.0)
         ]
-        (group,) = plan_batches(serve_framework.space, requests)
-        for request, value in execute_group(serve_framework, group):
+        (group,) = plan_batches(backend_framework.space, requests)
+        for request, value in execute_group(backend_framework, group):
             assert value == range_query(
-                serve_framework, request.position, request.radius, use_index=True
+                backend_framework, request.position, request.radius
             )
 
 
 class TestSharing:
     def test_rows_are_walked_once_per_batch(
-        self, serve_framework, query_positions
+        self, backend_framework, query_positions
     ):
-        scans = SharedDoorScans(serve_framework.distance_index)
+        scans = SharedDoorScans(backend_framework.distance_index)
         position = query_positions[0]
-        batched_range_query(serve_framework, position, 12.0, scans)
+        range_query(backend_framework, position, 12.0, door_scans=scans)
         opened_after_first = scans.rows_opened
-        batched_range_query(serve_framework, position, 12.0, scans)
+        assert opened_after_first > 0
+        range_query(backend_framework, position, 12.0, door_scans=scans)
+        knn_query(backend_framework, position, 5, door_scans=scans)
         assert scans.rows_opened == opened_after_first
         assert scans.rows_reused > 0
 
     def test_shared_row_prefix_grows_to_deepest_consumer(
-        self, serve_framework, query_positions
+        self, backend_framework, query_positions
     ):
-        scans = SharedDoorScans(serve_framework.distance_index)
+        scans = SharedDoorScans(backend_framework.distance_index)
         position = query_positions[0]
-        shallow = batched_range_query(serve_framework, position, 2.0, scans)
-        deep = batched_range_query(serve_framework, position, 20.0, scans)
+        shallow = range_query(
+            backend_framework, position, 2.0, door_scans=scans
+        )
+        deep = range_query(backend_framework, position, 20.0, door_scans=scans)
         assert set(shallow) <= set(deep)
+        assert deep == range_query(backend_framework, position, 20.0)
+
+    def test_a_scan_that_dies_mid_row_is_not_shared_short(
+        self, backend_framework, query_positions
+    ):
+        class DiesOnce:
+            """A backend whose first sorted scan is lost after two doors."""
+
+            def __init__(self, inner):
+                self.inner = inner
+                self.armed = True
+
+            def doors_by_distance(self, door_id, max_distance=None):
+                scan = self.inner.doors_by_distance(door_id, max_distance)
+                for n, pair in enumerate(scan):
+                    if self.armed and n == 2:
+                        self.armed = False
+                        raise CorruptIndexError("index lost mid-scan")
+                    yield pair
+
+        position = query_positions[0]
+        scans = SharedDoorScans(DiesOnce(backend_framework.distance_index))
+        with pytest.raises(CorruptIndexError):
+            range_query(backend_framework, position, 50.0, door_scans=scans)
+        assert range_query(
+            backend_framework, position, 50.0, door_scans=scans
+        ) == range_query(backend_framework, position, 50.0)
 
     def test_unreachable_pt2pt_target_is_inf_not_error(self, serve_framework):
         space = serve_framework.space

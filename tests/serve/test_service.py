@@ -192,10 +192,12 @@ class TestShedding:
             queue_capacity=1,
             shed_policy=ShedPolicy(shed_at=0.999),
         )
-        # Do not start workers: fill the queue beyond capacity first, so
-        # later submissions see occupancy >= 1 deterministically.
-        first = service.submit(QueryRequest.knn(query_positions[0], k=2))
-        second = service.submit(QueryRequest.knn(query_positions[1], k=2))
+        # ``submit`` starts the worker, so hold the service's re-entrant
+        # condition lock while both tickets queue: the worker cannot drain
+        # the first before the second is admitted at occupancy 1.
+        with service._cv:
+            first = service.submit(QueryRequest.knn(query_positions[0], k=2))
+            second = service.submit(QueryRequest.knn(query_positions[1], k=2))
         service.start()
         responses = [first.result(), second.result()]
         service.stop()
