@@ -11,6 +11,18 @@ Distances returned are exact *intra-partition walking distances* from the
 anchor (a query position inside the partition, or a door of the partition):
 straight-line Euclidean in convex obstacle-free partitions (the overwhelming
 common case, taken as a fast path) and visibility-graph distances otherwise.
+
+Both searches run once per bucket on every range and kNN query, so they
+allocate nothing per cell or per object.  A cell stores only its objects;
+its planar lower bound is computed from its ``(ix, iy)`` key on each visit:
+the cell spans ``[origin_x + ix * cell_size, origin_x + (ix + 1) * cell_size]``
+(likewise in y), and the bound is ``hypot`` of the per-axis gaps between
+that span and the anchor (0 when the anchor lies within it).  The fast-path
+distance is ``hypot(anchor.x - x, anchor.y - y)``, exactly what
+:meth:`Point.distance_to` computes.  Planar bounds hold only for an anchor
+on the partition's own floor and, in a flattened staircase, only up to
+``stair_length`` (objects on the upper landing are that far from any
+base-floor anchor).
 """
 
 from __future__ import annotations
@@ -20,7 +32,7 @@ import math
 from typing import Dict, Iterator, List, Tuple
 
 from repro.exceptions import ModelError
-from repro.geometry import BoundingBox, Point
+from repro.geometry import Point
 from repro.model.entities import Partition
 
 
@@ -94,27 +106,6 @@ class PartitionGrid:
         return len(self._cells)
 
     # ------------------------------------------------------------------
-    # Distance helpers
-    # ------------------------------------------------------------------
-    def _walking_distance(self, anchor: Point, position: Point) -> float:
-        if self._euclidean_ok and anchor.floor == position.floor:
-            return anchor.distance_to(position)
-        return self.partition.intra_distance(anchor, position)
-
-    def _cell_box(self, cell: Tuple[int, int]) -> BoundingBox:
-        ix, iy = cell
-        return BoundingBox(
-            self._origin_x + ix * self.cell_size,
-            self._origin_y + iy * self.cell_size,
-            self._origin_x + (ix + 1) * self.cell_size,
-            self._origin_y + (iy + 1) * self.cell_size,
-        )
-
-    def _anchor_planar(self, anchor: Point) -> Point:
-        """Cell pruning is planar; project cross-floor staircase anchors."""
-        return anchor.on_floor(self.partition.floor)
-
-    # ------------------------------------------------------------------
     # Searches (the rangeSearch / nnSearch procedures of §V)
     # ------------------------------------------------------------------
     def range_search(
@@ -128,19 +119,38 @@ class PartitionGrid:
         """
         if radius < 0:
             return []
-        planar = self._anchor_planar(anchor)
+        hypot = math.hypot
+        intra = self.partition.intra_distance
+        euclidean_ok = self._euclidean_ok
+        floor = anchor.floor
+        ax = anchor.x
+        ay = anchor.y
         # Planar cell pruning lower-bounds the walking distance only on the
         # partition's own floor; a cross-floor staircase anchor walks the
-        # stairs (a constant), so pruning is skipped there.
-        prune = anchor.floor == self.partition.floor
+        # stairs (a constant), so pruning is skipped there.  For the same
+        # reason objects on a staircase's upper landing are ``stair_length``
+        # from a base-floor anchor whatever the planar gap: pruning holds
+        # only while the stairs are longer than the radius.
+        stairs = self.partition.stair_length
+        prune = floor == self.partition.floor and (stairs is None or stairs > radius)
+        ox = self._origin_x
+        oy = self._origin_y
+        size = self.cell_size
         results: List[Tuple[int, float]] = []
-        for cell, objects in self._cells.items():
-            if prune and self._cell_box(cell).min_distance_to_point(planar) > radius:
+        append = results.append
+        for (ix, iy), objects in self._cells.items():
+            if prune and hypot(
+                max(ox + ix * size - ax, 0.0, ax - (ox + (ix + 1) * size)),
+                max(oy + iy * size - ay, 0.0, ay - (oy + (iy + 1) * size)),
+            ) > radius:
                 continue
             for object_id, position in objects.items():
-                distance = self._walking_distance(anchor, position)
+                if euclidean_ok and position.floor == floor:
+                    distance = hypot(ax - position.x, ay - position.y)
+                else:
+                    distance = intra(anchor, position)
                 if distance <= radius:
-                    results.append((object_id, distance))
+                    append((object_id, distance))
         return results
 
     def nn_search(
@@ -155,37 +165,57 @@ class PartitionGrid:
         """
         if k < 1 or not self._cells:
             return []
-        planar = self._anchor_planar(anchor)
-        # Same cross-floor caveat as range_search: planar lower bounds are
-        # only valid on the partition's own floor.
-        on_floor = anchor.floor == self.partition.floor
-        cell_heap: List[Tuple[float, Tuple[int, int]]] = [
-            (
-                self._cell_box(cell).min_distance_to_point(planar)
-                if on_floor
-                else 0.0,
-                cell,
-            )
-            for cell in self._cells
-        ]
+        hypot = math.hypot
+        intra = self.partition.intra_distance
+        euclidean_ok = self._euclidean_ok
+        floor = anchor.floor
+        ax = anchor.x
+        ay = anchor.y
+        # Same cross-floor caveats as range_search: planar lower bounds are
+        # only valid on the partition's own floor, and objects on a
+        # staircase's upper landing are ``stair_length`` away from there.
+        if floor == self.partition.floor:
+            ox = self._origin_x
+            oy = self._origin_y
+            size = self.cell_size
+            cell_heap: List[Tuple[float, Tuple[int, int]]] = [
+                (
+                    hypot(
+                        max(ox + ix * size - ax, 0.0, ax - (ox + (ix + 1) * size)),
+                        max(oy + iy * size - ay, 0.0, ay - (oy + (iy + 1) * size)),
+                    ),
+                    (ix, iy),
+                )
+                for ix, iy in self._cells
+            ]
+            stairs = self.partition.stair_length
+            if stairs is not None:
+                cell_heap = [(min(low, stairs), cell) for low, cell in cell_heap]
+        else:
+            cell_heap = [(0.0, cell) for cell in self._cells]
         heapq.heapify(cell_heap)
 
-        # Max-heap (negated) of the best k candidates found so far.
+        # Max-heap (negated) of the best k candidates found so far; the
+        # cutoff is ``bound`` until it holds k, then min(bound, k-th best).
         best: List[Tuple[float, int]] = []
+        cutoff = bound
         while cell_heap:
             lower_bound, cell = heapq.heappop(cell_heap)
-            cutoff = bound if len(best) < k else min(bound, -best[0][0])
             if lower_bound >= cutoff:
                 break
             for object_id, position in self._cells[cell].items():
-                distance = self._walking_distance(anchor, position)
-                cutoff = bound if len(best) < k else min(bound, -best[0][0])
+                if euclidean_ok and position.floor == floor:
+                    distance = hypot(ax - position.x, ay - position.y)
+                else:
+                    distance = intra(anchor, position)
                 if distance >= cutoff:
                     continue
                 if len(best) == k:
                     heapq.heapreplace(best, (-distance, object_id))
                 else:
                     heapq.heappush(best, (-distance, object_id))
+                if len(best) == k:
+                    cutoff = min(bound, -best[0][0])
         return [
             (object_id, distance)
             for distance, object_id in sorted(

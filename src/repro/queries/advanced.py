@@ -25,6 +25,7 @@ from typing import Dict, List, Literal, Optional, Sequence, Tuple
 from repro.exceptions import QueryError
 from repro.geometry import Point
 from repro.index.framework import IndexFramework
+from repro.queries.checks import require_finite, require_finite_position
 from repro.queries.knn_query import knn_query
 
 
@@ -91,9 +92,19 @@ def range_query_with_distances(
     use_index: bool = True,
 ) -> List[Tuple[int, float]]:
     """Algorithm 5 with exact distances: ``(object_id, distance)`` for every
-    object within ``radius``, sorted by ascending distance."""
+    object within ``radius``, sorted by ascending distance.
+
+    Raises:
+        QueryError: for a negative / NaN / infinite radius or a non-finite
+            query position.
+        StaleIndexError: when the space topology mutated after the
+            framework was built (as for every composite query here).
+    """
+    require_finite_position(position)
+    require_finite(radius, "range radius")
     if radius < 0:
         raise QueryError(f"range radius must be non-negative, got {radius}")
+    framework.check_fresh()
     distances = _object_distances(framework, position, radius, use_index)
     return sorted(distances.items(), key=lambda item: (item[1], item[0]))
 
@@ -102,6 +113,8 @@ def distances_to_all_objects(
     framework: IndexFramework, position: Point
 ) -> Dict[int, float]:
     """Walking distance from ``position`` to every reachable object."""
+    require_finite_position(position)
+    framework.check_fresh()
     return _object_distances(framework, position, radius=None)
 
 
@@ -114,8 +127,10 @@ def distance_join(
     by distance.  One range expansion per object; pairs are deduplicated by
     reporting only partners with a larger id.
     """
+    require_finite(radius, "join radius")
     if radius < 0:
         raise QueryError(f"join radius must be non-negative, got {radius}")
+    framework.check_fresh()
     pairs: List[Tuple[int, int, float]] = []
     for obj in sorted(framework.objects, key=lambda o: o.object_id):
         for other_id, distance in _object_distances(
@@ -172,6 +187,7 @@ def closest_pair(
     Runs a 2-NN query anchored at every object (the nearest neighbour of
     some object realises the closest pair).
     """
+    framework.check_fresh()
     best: Optional[Tuple[int, int, float]] = None
     for obj in framework.objects:
         for other_id, distance in knn_query(framework, obj.position, k=2):

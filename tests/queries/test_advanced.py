@@ -6,10 +6,11 @@ import random
 import pytest
 
 from repro.distance import pt2pt_distance_refined
-from repro.exceptions import QueryError
+from repro.exceptions import QueryError, StaleIndexError
 from repro.geometry import Point, Segment, rectangle
 from repro.index import IndexFramework, IndoorObject
 from repro.model import IndoorSpaceBuilder
+from repro.model.figure1 import ROOM_11, ROOM_12, build_figure1
 from repro.queries import (
     aggregate_nn,
     closest_pair,
@@ -18,6 +19,7 @@ from repro.queries import (
     range_query,
     range_query_with_distances,
 )
+from repro.queries.advanced import _object_distances
 from tests.queries.conftest import random_point_in
 
 
@@ -233,3 +235,67 @@ class TestClosestPair:
         pair = closest_pair(framework)
         assert pair is not None
         assert pair[2] == pytest.approx(best)
+
+
+Q_FIG1 = Point(5.0, 5.2)
+
+#: One call of each composite query, by name.
+COMPOSITES = {
+    "range_query_with_distances": lambda fw: range_query_with_distances(
+        fw, Q_FIG1, 12.0
+    ),
+    "distances_to_all_objects": lambda fw: distances_to_all_objects(fw, Q_FIG1),
+    "distance_join": lambda fw: distance_join(fw, 4.0),
+    "aggregate_nn": lambda fw: aggregate_nn(fw, [Q_FIG1, Point(6.2, 8.0)], k=3),
+    "closest_pair": closest_pair,
+}
+
+
+def _figure1_framework(backend):
+    space = build_figure1()
+    rng = random.Random(2024)
+    indoor_ids = [p for p in space.partition_ids if p != 0]
+    objects = [
+        IndoorObject(i, random_point_in(space, rng, indoor_ids)) for i in range(30)
+    ]
+    return IndexFramework.build(space, objects, backend=backend)
+
+
+class TestCompositeFreshness:
+    """Every composite query refuses an index older than the topology,
+    as range_query and knn_query do."""
+
+    @pytest.mark.parametrize("backend", ["matrix", "labels"])
+    @pytest.mark.parametrize("name", sorted(COMPOSITES))
+    def test_raises_on_a_stale_framework(self, backend, name):
+        framework = _figure1_framework(backend)
+        framework.space.add_door(
+            99, Segment(Point(4, 7), Point(4, 8)), connects=(ROOM_12, ROOM_11)
+        )
+        with pytest.raises(StaleIndexError):
+            COMPOSITES[name](framework)
+
+    def test_fresh_frameworks_answer_as_the_unguarded_expansion(self):
+        matrix_fw = _figure1_framework("matrix")
+        matrix = {name: call(matrix_fw) for name, call in COMPOSITES.items()}
+        labels_fw = _figure1_framework("labels")
+        assert {name: call(labels_fw) for name, call in COMPOSITES.items()} == matrix
+        assert matrix["distances_to_all_objects"] == _object_distances(
+            matrix_fw, Q_FIG1, radius=None
+        )
+        assert matrix["range_query_with_distances"]
+        assert matrix["distance_join"]
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda fw: range_query_with_distances(fw, Point(math.nan, 1.0), 5.0),
+            lambda fw: range_query_with_distances(fw, Point(5.0, 5.2), math.nan),
+            lambda fw: distances_to_all_objects(fw, Point(math.inf, 1.0)),
+            lambda fw: distance_join(fw, math.nan),
+            lambda fw: aggregate_nn(fw, [Point(5.0, math.nan)]),
+        ],
+    )
+    def test_non_finite_inputs_raise(self, populated_figure1, call):
+        with pytest.raises(QueryError):
+            call(populated_figure1)
