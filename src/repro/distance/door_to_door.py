@@ -10,6 +10,11 @@ The implementation uses a lazy-deletion binary heap, which is semantically
 identical to the paper's "replace d_j's element in H" decrease-key but does
 not require an addressable heap.  Each door is still settled (visited) at
 most once, as the paper requires.
+
+:func:`settle_doors` is that expansion on its own.  Algorithm 1 here,
+Algorithms 3 and 4 (:mod:`repro.distance.point_to_point`) and the batched
+multi-target Algorithm 3 all run it, so Figure 6 compares their stopping
+rules and memoisation over one and the same relaxation loop.
 """
 
 from __future__ import annotations
@@ -17,11 +22,14 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, Optional, Set, Tuple
 
 from repro.exceptions import UnknownEntityError
 from repro.distance.path import DoorPath
 from repro.model.distance_graph import DistanceAwareGraph
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.runtime.deadline import Deadline
 
 
 @dataclass(frozen=True)
@@ -48,6 +56,62 @@ class DoorSearchResult:
         if door_id in self.settled:
             return self.dist[door_id]
         return math.inf
+
+
+def settle_doors(
+    graph: DistanceAwareGraph,
+    source_door: int,
+    dist: Dict[int, float],
+    settled: Set[int],
+    prev: Optional[Dict[int, Optional[Tuple[int, int]]]] = None,
+    deadline: Optional["Deadline"] = None,
+) -> Iterator[Tuple[float, int]]:
+    """Algorithm 1's expansion from ``source_door``, one settled door at a
+    time.
+
+    Yields ``(distance, door)`` for each door as it is settled, in ascending
+    ``(distance, door id)`` order.  The edges out of a yielded door are
+    relaxed only when the generator is resumed, so a caller that stops
+    early evaluates no further ``f_d2d`` weights.
+
+    ``dist`` and ``settled`` (and ``prev`` when given) start empty and are
+    filled in place, so the caller can read them between steps.
+    ``deadline`` is checked before every heap pop.
+    """
+    # Bound once per call: the loop runs once per relaxed edge, and a
+    # wrapper installed on ``graph.fd2d`` beforehand still sees every call.
+    fd2d = graph.fd2d
+    topology = graph.space.topology
+    enterable_partitions = topology.enterable_partitions
+    leaveable_doors = topology.leaveable_doors
+    get_dist = dist.get
+    heappop = heapq.heappop
+    heappush = heapq.heappush
+    inf = math.inf
+
+    dist[source_door] = 0.0
+    if prev is not None:
+        prev[source_door] = None
+    heap: list = [(0.0, source_door)]
+    while heap:
+        if deadline is not None:
+            deadline.check("pt2pt distance")
+        d, current = heappop(heap)
+        if current in settled:
+            continue
+        settled.add(current)
+        yield d, current
+        for partition_id in enterable_partitions(current):
+            for next_door in leaveable_doors(partition_id):
+                if next_door in settled:
+                    continue
+                # An infinite weight never beats ``get_dist``'s default.
+                candidate = d + fd2d(partition_id, current, next_door)
+                if candidate < get_dist(next_door, inf):
+                    dist[next_door] = candidate
+                    if prev is not None:
+                        prev[next_door] = (partition_id, current)
+                    heappush(heap, (candidate, next_door))
 
 
 def door_to_door_search(
@@ -78,34 +142,16 @@ def door_to_door_search(
         raise UnknownEntityError("door", target_door)
 
     pending: Optional[Set[int]] = set(targets) if targets is not None else None
-    dist: Dict[int, float] = {source_door: 0.0}
-    prev: Dict[int, Optional[Tuple[int, int]]] = {source_door: None}
+    dist: Dict[int, float] = {}
+    prev: Dict[int, Optional[Tuple[int, int]]] = {}
     settled: Set[int] = set()
-    heap: list = [(0.0, source_door)]
-
-    while heap:
-        d, current = heapq.heappop(heap)
-        if current in settled:
-            continue
-        settled.add(current)
+    for _, current in settle_doors(graph, source_door, dist, settled, prev):
         if current == target_door:
             break
         if pending is not None:
             pending.discard(current)
             if not pending:
                 break
-        for partition_id in topology.enterable_partitions(current):
-            for next_door in topology.leaveable_doors(partition_id):
-                if next_door in settled:
-                    continue
-                weight = graph.fd2d(partition_id, current, next_door)
-                if math.isinf(weight):
-                    continue
-                candidate = d + weight
-                if candidate < dist.get(next_door, math.inf):
-                    dist[next_door] = candidate
-                    prev[next_door] = (partition_id, current)
-                    heapq.heappush(heap, (candidate, next_door))
 
     return DoorSearchResult(source_door, dist, prev, settled)
 

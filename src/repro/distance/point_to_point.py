@@ -28,11 +28,14 @@ The paper's Figure 6/7 experiments compare exactly these three functions.
 
 from __future__ import annotations
 
-import heapq
 import math
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
-from repro.distance.door_to_door import DoorSearchResult, door_to_door_search
+from repro.distance.door_to_door import (
+    DoorSearchResult,
+    door_to_door_search,
+    settle_doors,
+)
 from repro.distance.path import IndoorPath
 from repro.geometry import Point
 from repro.model.builder import IndoorSpace
@@ -149,16 +152,7 @@ def pt2pt_distance_refined(
 
         # Algorithm 3's inner expansion (lines 15-36): Dijkstra over doors
         # from ds, harvesting destination doors as they settle.
-        dist: Dict[int, float] = {ds: 0.0}
-        settled: Set[int] = set()
-        heap: list = [(0.0, ds)]
-        while heap:
-            if deadline is not None:
-                deadline.check("pt2pt distance")
-            d, current = heapq.heappop(heap)
-            if current in settled:
-                continue
-            settled.add(current)
+        for d, current in settle_doors(graph, ds, {}, set(), deadline=deadline):
             if current in pending:
                 pending.discard(current)
                 candidate = dist1 + d + dist_from_target_door[current]
@@ -170,17 +164,6 @@ def pt2pt_distance_refined(
                 # Everything still on the heap is at least this far: no
                 # remaining destination can improve on the best.
                 break
-            for partition_id in topology.enterable_partitions(current):
-                for next_door in topology.leaveable_doors(partition_id):
-                    if next_door in settled:
-                        continue
-                    weight = graph.fd2d(partition_id, current, next_door)
-                    if math.isinf(weight):
-                        continue
-                    candidate = d + weight
-                    if candidate < dist.get(next_door, math.inf):
-                        dist[next_door] = candidate
-                        heapq.heappush(heap, (candidate, next_door))
     return best
 
 
@@ -222,18 +205,11 @@ def pt2pt_distance_memoized(
         if not pending:
             continue
 
-        dist: Dict[int, float] = {ds: 0.0}
-        prev: Dict[int, Optional[Tuple[int, int]]] = {ds: None}
-        settled: Set[int] = set()
-        heap: list = [(0.0, ds)]
-        while heap:
-            if deadline is not None:
-                deadline.check("pt2pt distance")
-            d, current = heapq.heappop(heap)
-            if current in settled:
-                continue
-            settled.add(current)
-
+        dist: Dict[int, float] = {}
+        prev: Dict[int, Optional[Tuple[int, int]]] = {}
+        for d, current in settle_doors(
+            graph, ds, dist, set(), prev, deadline=deadline
+        ):
             if current in pending:
                 pending.discard(current)
                 # The paper's pseudocode omits this write, but its forward
@@ -287,18 +263,6 @@ def pt2pt_distance_memoized(
 
             if d + dist1 >= best:
                 break
-            for partition_id in topology.enterable_partitions(current):
-                for next_door in topology.leaveable_doors(partition_id):
-                    if next_door in settled:
-                        continue
-                    weight = graph.fd2d(partition_id, current, next_door)
-                    if math.isinf(weight):
-                        continue
-                    candidate = d + weight
-                    if candidate < dist.get(next_door, math.inf):
-                        dist[next_door] = candidate
-                        prev[next_door] = (partition_id, current)
-                        heapq.heappush(heap, (candidate, next_door))
     return best
 
 

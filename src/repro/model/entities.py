@@ -54,11 +54,14 @@ class Door:
     def __post_init__(self) -> None:
         if self.door_id < 0:
             raise ModelError(f"door id must be non-negative, got {self.door_id}")
+        # Computed once: the queries read it for every door they expand.  Not
+        # a dataclass field, so eq, hash and repr are unchanged.
+        object.__setattr__(self, "_midpoint", self.segment.midpoint)
 
     @property
     def midpoint(self) -> Point:
         """The point all door-to-door and door-to-position distances use."""
-        return self.segment.midpoint
+        return self._midpoint
 
     @property
     def floor(self) -> int:

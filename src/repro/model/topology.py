@@ -7,7 +7,16 @@ D2P⊢ (leaveable partitions), P2D⊣ (enterable doors), P2D⊢ (leaveable doors
 and the undirected P2D — is derived from it, exactly as in the paper.
 
 The paper stipulates that each door connects exactly two partitions (outdoor
-space being itself a partition); :meth:`Topology.connect` enforces it.
+space being itself a partition); :meth:`Topology.connect` enforces it.  That
+makes D2P(d) equal to ``{(v_i, v_j) : v_i ∈ D2P⊢(d), v_j ∈ D2P⊣(d), v_i ≠
+v_j}``, so D2P is stored as its two projections and :meth:`Topology.d2p`
+rebuilds the pairs.
+
+Every view (D2P⊣, D2P⊢, P2D⊣, P2D⊢) is an immutable ``frozenset`` that the
+topology keeps and hands to the caller without copying: the door-graph
+searches (Algorithms 1-4) read them once per settled door.  ``connect`` and
+``disconnect`` replace the stored frozensets rather than mutate them, so a
+view taken before a mutation is a snapshot that never changes.
 """
 
 from __future__ import annotations
@@ -16,28 +25,33 @@ from typing import Dict, FrozenSet, Iterable, Set, Tuple
 
 from repro.exceptions import TopologyError, UnknownEntityError
 
+_EMPTY: FrozenSet[int] = frozenset()
+
 
 class Topology:
     """The D2P mapping and its derived P2D views.
 
     Partitions and doors are referred to by integer identifiers; the entity
-    objects live in :class:`~repro.model.builder.IndoorSpace`.
+    objects live in :class:`~repro.model.builder.IndoorSpace`.  All views are
+    immutable snapshots shared with the caller (see the module docstring).
     """
 
     def __init__(self) -> None:
-        self._d2p: Dict[int, Set[Tuple[int, int]]] = {}
-        self._enterable_doors: Dict[int, Set[int]] = {}
-        self._leaveable_doors: Dict[int, Set[int]] = {}
-        self._partitions: Set[int] = set()
+        # D2P⊣ / D2P⊢ per door.  A two-way door enters and leaves the same
+        # two partitions, and both maps then hold one shared frozenset.
+        self._enterable_partitions: Dict[int, FrozenSet[int]] = {}
+        self._leaveable_partitions: Dict[int, FrozenSet[int]] = {}
+        # P2D⊣ / P2D⊢ per partition; the keys are the registered partitions.
+        self._enterable_doors: Dict[int, FrozenSet[int]] = {}
+        self._leaveable_doors: Dict[int, FrozenSet[int]] = {}
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
     def add_partition(self, partition_id: int) -> None:
         """Register a partition identifier (idempotent)."""
-        self._partitions.add(partition_id)
-        self._enterable_doors.setdefault(partition_id, set())
-        self._leaveable_doors.setdefault(partition_id, set())
+        self._enterable_doors.setdefault(partition_id, _EMPTY)
+        self._leaveable_doors.setdefault(partition_id, _EMPTY)
 
     def connect(
         self,
@@ -62,26 +76,32 @@ class Topology:
                 f"{from_partition} to itself"
             )
         for partition_id in (from_partition, to_partition):
-            if partition_id not in self._partitions:
-                raise UnknownEntityError("partition", partition_id)
+            self._require_partition(partition_id)
 
         pair = {from_partition, to_partition}
-        existing = self._d2p.get(door_id)
-        if existing:
-            touched = {p for edge in existing for p in edge}
+        edges: Set[Tuple[int, int]] = set()
+        if door_id in self._enterable_partitions:
+            touched = self.partitions_of(door_id)
             if touched != pair:
                 raise TopologyError(
                     f"door {door_id} already connects partitions {sorted(touched)}; "
                     f"cannot also connect {sorted(pair)} "
                     "(each door connects exactly two partitions)"
                 )
-        edges = self._d2p.setdefault(door_id, set())
+            edges.update(self.d2p(door_id))
         edges.add((from_partition, to_partition))
         if bidirectional:
             edges.add((to_partition, from_partition))
+        enterable = frozenset(to_p for _, to_p in edges)
+        leaveable = frozenset(from_p for from_p, _ in edges)
+        self._enterable_partitions[door_id] = enterable
+        self._leaveable_partitions[door_id] = (
+            enterable if leaveable == enterable else leaveable
+        )
+        # ``|=`` on a frozenset binds a new frozenset (copy-on-write).
         for from_p, to_p in edges:
-            self._leaveable_doors[from_p].add(door_id)
-            self._enterable_doors[to_p].add(door_id)
+            self._leaveable_doors[from_p] |= {door_id}
+            self._enterable_doors[to_p] |= {door_id}
 
     def disconnect(self, door_id: int) -> None:
         """Remove a door from the mapping entirely (all its edges).
@@ -90,43 +110,58 @@ class Topology:
             UnknownEntityError: if the door was never connected.
         """
         self._require_door(door_id)
-        edges = self._d2p.pop(door_id)
-        for from_p, to_p in edges:
-            self._leaveable_doors[from_p].discard(door_id)
-            self._enterable_doors[to_p].discard(door_id)
+        # ``-=`` on a frozenset binds a new frozenset (copy-on-write).
+        for partition_id in self._enterable_partitions.pop(door_id):
+            self._enterable_doors[partition_id] -= {door_id}
+        for partition_id in self._leaveable_partitions.pop(door_id):
+            self._leaveable_doors[partition_id] -= {door_id}
 
     # ------------------------------------------------------------------
     # The fundamental mapping and its derivations (paper Eq. 1-5)
     # ------------------------------------------------------------------
     def d2p(self, door_id: int) -> FrozenSet[Tuple[int, int]]:
         """D2P(d): the ordered partition pairs the door permits."""
-        self._require_door(door_id)
-        return frozenset(self._d2p[door_id])
+        enterable = self.enterable_partitions(door_id)
+        return frozenset(
+            (from_p, to_p)
+            for from_p in self._leaveable_partitions[door_id]
+            for to_p in enterable
+            if from_p != to_p
+        )
 
     def enterable_partitions(self, door_id: int) -> FrozenSet[int]:
         """D2P⊣(d) = π₂(D2P(d)): partitions one can *enter* through d."""
-        self._require_door(door_id)
-        return frozenset(to_p for _, to_p in self._d2p[door_id])
+        try:
+            return self._enterable_partitions[door_id]
+        except KeyError:
+            raise UnknownEntityError("door", door_id) from None
 
     def leaveable_partitions(self, door_id: int) -> FrozenSet[int]:
         """D2P⊢(d) = π₁(D2P(d)): partitions one can *leave* through d."""
-        self._require_door(door_id)
-        return frozenset(from_p for from_p, _ in self._d2p[door_id])
+        try:
+            return self._leaveable_partitions[door_id]
+        except KeyError:
+            raise UnknownEntityError("door", door_id) from None
 
     def partitions_of(self, door_id: int) -> FrozenSet[int]:
         """The (exactly two) partitions the door touches."""
-        self._require_door(door_id)
-        return frozenset(p for edge in self._d2p[door_id] for p in edge)
+        enterable = self.enterable_partitions(door_id)
+        leaveable = self._leaveable_partitions[door_id]
+        return enterable if leaveable is enterable else enterable | leaveable
 
     def enterable_doors(self, partition_id: int) -> FrozenSet[int]:
         """P2D⊣(v): doors through which one can enter v."""
-        self._require_partition(partition_id)
-        return frozenset(self._enterable_doors[partition_id])
+        try:
+            return self._enterable_doors[partition_id]
+        except KeyError:
+            raise UnknownEntityError("partition", partition_id) from None
 
     def leaveable_doors(self, partition_id: int) -> FrozenSet[int]:
         """P2D⊢(v): doors through which one can leave v."""
-        self._require_partition(partition_id)
-        return frozenset(self._leaveable_doors[partition_id])
+        try:
+            return self._leaveable_doors[partition_id]
+        except KeyError:
+            raise UnknownEntityError("partition", partition_id) from None
 
     def doors_of(self, partition_id: int) -> FrozenSet[int]:
         """P2D(v) = P2D⊣(v) ∪ P2D⊢(v): all doors touching v."""
@@ -134,7 +169,10 @@ class Topology:
 
     def touches(self, door_id: int, partition_id: int) -> bool:
         """True when the door touches the partition (either direction)."""
-        return partition_id in self.partitions_of(door_id)
+        return (
+            partition_id in self.enterable_partitions(door_id)
+            or partition_id in self._leaveable_partitions[door_id]
+        )
 
     # ------------------------------------------------------------------
     # Inspection
@@ -142,17 +180,16 @@ class Topology:
     @property
     def door_ids(self) -> Tuple[int, ...]:
         """All registered door ids, ascending."""
-        return tuple(sorted(self._d2p))
+        return tuple(sorted(self._enterable_partitions))
 
     @property
     def partition_ids(self) -> Tuple[int, ...]:
         """All registered partition ids, ascending."""
-        return tuple(sorted(self._partitions))
+        return tuple(sorted(self._enterable_doors))
 
     def is_unidirectional(self, door_id: int) -> bool:
         """True when |D2P(d)| = 1 — the door permits one direction only."""
-        self._require_door(door_id)
-        return len(self._d2p[door_id]) == 1
+        return len(self.enterable_partitions(door_id)) == 1
 
     def is_bidirectional(self, door_id: int) -> bool:
         """True when |D2P(d)| = 2."""
@@ -160,17 +197,17 @@ class Topology:
 
     def has_door(self, door_id: int) -> bool:
         """True when the door id is registered with at least one edge."""
-        return door_id in self._d2p
+        return door_id in self._enterable_partitions
 
     def has_partition(self, partition_id: int) -> bool:
         """True when the partition id is registered."""
-        return partition_id in self._partitions
+        return partition_id in self._enterable_doors
 
     def directed_edges(self) -> Iterable[Tuple[int, int, int]]:
         """All ``(from_partition, to_partition, door_id)`` triples — the edge
         set E_a of the accessibility graph (paper §III-B)."""
-        for door_id in sorted(self._d2p):
-            for from_p, to_p in sorted(self._d2p[door_id]):
+        for door_id in self.door_ids:
+            for from_p, to_p in sorted(self.d2p(door_id)):
                 yield (from_p, to_p, door_id)
 
     def validate(self) -> None:
@@ -179,23 +216,23 @@ class Topology:
         Invariants: every door touches exactly two distinct partitions, and
         every referenced partition is registered.
         """
-        for door_id, edges in self._d2p.items():
-            touched = {p for edge in edges for p in edge}
+        for door_id in self._enterable_partitions:
+            touched = self.partitions_of(door_id)
             if len(touched) != 2:
                 raise TopologyError(
                     f"door {door_id} touches partitions {sorted(touched)}; "
                     "exactly two are required"
                 )
-            if not touched <= self._partitions:
-                missing = sorted(touched - self._partitions)
+            missing = sorted(p for p in touched if not self.has_partition(p))
+            if missing:
                 raise TopologyError(
                     f"door {door_id} references unregistered partitions {missing}"
                 )
 
     def _require_door(self, door_id: int) -> None:
-        if door_id not in self._d2p:
+        if door_id not in self._enterable_partitions:
             raise UnknownEntityError("door", door_id)
 
     def _require_partition(self, partition_id: int) -> None:
-        if partition_id not in self._partitions:
+        if partition_id not in self._enterable_doors:
             raise UnknownEntityError("partition", partition_id)

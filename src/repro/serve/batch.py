@@ -26,7 +26,6 @@ property the test suite asserts bit-for-bit on both distance backends.
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -42,6 +41,7 @@ from typing import (
     Tuple,
 )
 
+from repro.distance.door_to_door import settle_doors
 from repro.distance.point_to_point import pt2pt_distance
 from repro.exceptions import ReproError
 from repro.geometry import Point
@@ -169,14 +169,7 @@ def batched_pt2pt_distances(
         if not pending:
             continue
 
-        dist: Dict[int, float] = {ds: 0.0}
-        settled: Set[int] = set()
-        heap: list = [(0.0, ds)]
-        while heap:
-            d, current = heapq.heappop(heap)
-            if current in settled:
-                continue
-            settled.add(current)
+        for d, current in settle_doors(graph, ds, {}, set()):
             if current in pending:
                 pending.discard(current)
                 for index, d2 in wanted[current]:
@@ -194,17 +187,6 @@ def batched_pt2pt_distances(
             }
             if not pending:
                 break
-            for partition_id in topology.enterable_partitions(current):
-                for next_door in topology.leaveable_doors(partition_id):
-                    if next_door in settled:
-                        continue
-                    weight = graph.fd2d(partition_id, current, next_door)
-                    if math.isinf(weight):
-                        continue
-                    candidate = d + weight
-                    if candidate < dist.get(next_door, math.inf):
-                        dist[next_door] = candidate
-                        heapq.heappush(heap, (candidate, next_door))
     return best
 
 

@@ -98,6 +98,34 @@ class TestFd2d:
         with pytest.raises(UnknownEntityError):
             gdist.fd2d(999, D12, D13)
 
+    @pytest.mark.parametrize(
+        "key",
+        [
+            (ROOM_12, D15, D12),  # finite
+            (ROOM_12, D12, D15),  # one-way: infinite
+            (HALLWAY, D12, D12),  # same door: zero
+            (ROOM_20, D12, D12),  # same door, not touching: infinite
+            (HALLWAY, D21, D13),  # no shared partition: infinite
+        ],
+    )
+    def test_cache_hit_returns_the_miss_value(self, key):
+        graph = build_figure1().distance_graph
+        missed = graph.fd2d(*key)
+        stats = graph.cache_stats()
+        assert stats["fd2d_entries"] == 1
+        hit = graph.fd2d(*key)
+        assert graph.cache_stats() == stats
+        assert hit == missed
+
+    def test_unknown_partition_raises_on_a_warm_cache(self):
+        graph = build_figure1().distance_graph
+        graph.precompute()
+        stats = graph.cache_stats()
+        for _ in range(2):
+            with pytest.raises(UnknownEntityError):
+                graph.fd2d(999, D12, D13)
+        assert graph.cache_stats() == stats
+
 
 class TestPrecompute:
     def test_precompute_fills_caches(self):
