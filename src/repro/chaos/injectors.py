@@ -25,55 +25,22 @@ import time
 from repro.geometry import Point, Segment
 from repro.index.framework import IndexFramework
 from repro.persist.wal import WalRecorder
-from repro.runtime.faults import FaultHandle
+from repro.runtime.faults import FaultHandle, _DistanceIndexProxy
 
 
-class LatencyDistanceIndex:
-    """A distance-index proxy stalling every lookup by a fixed delay.
-
-    Mirrors :class:`~repro.runtime.faults.FlakyDistanceIndex`'s proxy
-    shape: lookup methods (and per-door scan yields) sleep
-    ``per_call_ms``; everything else delegates to the real index, so
-    integrity checks and rebuild paths behave normally.
-    """
+class LatencyDistanceIndex(_DistanceIndexProxy):
+    """A distance-index proxy stalling every lookup (and every scan yield)
+    by ``per_call_ms``; everything else delegates to the real index."""
 
     def __init__(self, inner, per_call_ms: float) -> None:
         if per_call_ms < 0:
             raise ValueError(f"per_call_ms must be >= 0, got {per_call_ms}")
-        self._inner = inner
+        super().__init__(inner)
         self._per_call_s = per_call_ms / 1000.0
 
-    def _stall(self) -> None:
+    def _on_lookup(self) -> None:
         if self._per_call_s > 0:
             time.sleep(self._per_call_s)
-
-    def distance(self, from_door: int, to_door: int) -> float:
-        """M_d2d lookup, stalled."""
-        self._stall()
-        return self._inner.distance(from_door, to_door)
-
-    def doors_by_distance(self, from_door: int, max_distance=None):
-        """Sorted scan; every yield stalls."""
-        for pair in self._inner.doors_by_distance(from_door, max_distance):
-            self._stall()
-            yield pair
-
-    def doors_unsorted(self, from_door: int):
-        """Unsorted scan; every yield stalls."""
-        for pair in self._inner.doors_unsorted(from_door):
-            self._stall()
-            yield pair
-
-    def __getattr__(self, name):
-        # Same non-delegation rules as FlakyDistanceIndex: never recurse on
-        # a half-built instance, never invent dunders for protocol probes.
-        try:
-            inner = object.__getattribute__(self, "_inner")
-        except AttributeError:
-            raise AttributeError(name) from None
-        if name.startswith("__") and name.endswith("__"):
-            raise AttributeError(name)
-        return getattr(inner, name)
 
 
 def install_latency(

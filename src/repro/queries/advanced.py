@@ -2,11 +2,13 @@
 consider other types of distance-aware indoor queries ... by using the
 query types in this paper as building blocks").
 
-All of these compose the §V machinery:
+All of these compose the §V machinery.  The range-style ones consume
+Algorithm 5's door walk in :mod:`repro.queries.range_query` and admit an
+object by its rule, ``reach + intra <= r``; they skip the whole-bucket
+shortcut, because they need every object's distance:
 
 * :func:`range_query_with_distances` — Algorithm 5 returning exact
-  distances per object (the whole-bucket shortcut is replaced by real
-  intra-partition searches, and distances are min-merged across routes);
+  distances per object, min-merged across routes;
 * :func:`distances_to_all_objects` — one-to-all object distances, the
   workhorse behind the aggregate queries (and services like the boarding
   reminder, which needs every passenger's distance);
@@ -14,7 +16,8 @@ All of these compose the §V machinery:
 * :func:`aggregate_nn` — group nearest neighbour: the object minimising
   the sum (or maximum) of walking distances from a set of positions
   (meeting-point finding);
-* :func:`closest_pair` — the two objects nearest each other.
+* :func:`closest_pair` — the two objects nearest each other, from one
+  2-NN query (Algorithm 6) per object.
 """
 
 from __future__ import annotations
@@ -25,63 +28,27 @@ from typing import Dict, List, Literal, Optional, Sequence, Tuple
 from repro.exceptions import QueryError
 from repro.geometry import Point
 from repro.index.framework import IndexFramework
-from repro.queries.checks import require_finite, require_finite_position
+from repro.queries.checks import require_finite
 from repro.queries.knn_query import knn_query
+from repro.queries.range_query import _door_walk, _slack
 
 
 def _object_distances(
     framework: IndexFramework,
     position: Point,
-    radius: Optional[float],
+    radius: float,
     use_index: bool = True,
 ) -> Dict[int, float]:
     """Exact walking distance to every object within ``radius`` of
-    ``position`` (all objects when ``radius`` is None), as a min-merged
-    dict over all door routes plus the direct intra-partition route."""
-    space = framework.space
-    host = space.require_host_partition(position)
-    store = framework.objects
+    ``position`` (``inf``: every reachable object), min-merged over the
+    door walk's routes."""
     best: Dict[int, float] = {}
-
-    def offer(object_id: int, distance: float) -> None:
-        if radius is not None and distance > radius:
-            return
-        if distance < best.get(object_id, math.inf):
-            best[object_id] = distance
-
-    bucket = store.bucket(host.partition_id)
-    if bucket is not None:
-        limit = math.inf if radius is None else radius
-        for object_id, distance in bucket.range_search(position, limit):
-            offer(object_id, distance)
-
-    for di in sorted(space.topology.leaveable_doors(host.partition_id)):
-        to_door = space.dist_v(position, di, host)
-        if math.isinf(to_door):
-            continue
-        budget = None if radius is None else radius - to_door
-        if budget is not None and budget < 0:
-            continue
-        scan = (
-            framework.distance_index.doors_by_distance(di, max_distance=budget)
-            if use_index
-            else framework.distance_index.doors_unsorted(di)
-        )
-        for dj, door_distance in scan:
-            if budget is not None and door_distance > budget:
-                continue
-            remaining = (
-                math.inf if budget is None else budget - door_distance
-            )
-            door_point = space.door(dj).midpoint
-            for partition_id, _ in framework.dpt.record(dj).enterable():
-                target_bucket = store.bucket(partition_id)
-                if target_bucket is None:
-                    continue
-                for object_id, intra in target_bucket.range_search(
-                    door_point, remaining
-                ):
-                    offer(object_id, to_door + door_distance + intra)
+    slack = _slack(radius)
+    for bucket, anchor, reach, _ in _door_walk(framework, position, radius, use_index):
+        for object_id, intra in bucket.range_search(anchor, radius - reach + slack):
+            distance = reach + intra
+            if distance <= radius and distance < best.get(object_id, math.inf):
+                best[object_id] = distance
     return best
 
 
@@ -100,11 +67,9 @@ def range_query_with_distances(
         StaleIndexError: when the space topology mutated after the
             framework was built (as for every composite query here).
     """
-    require_finite_position(position)
     require_finite(radius, "range radius")
     if radius < 0:
         raise QueryError(f"range radius must be non-negative, got {radius}")
-    framework.check_fresh()
     distances = _object_distances(framework, position, radius, use_index)
     return sorted(distances.items(), key=lambda item: (item[1], item[0]))
 
@@ -113,9 +78,7 @@ def distances_to_all_objects(
     framework: IndexFramework, position: Point
 ) -> Dict[int, float]:
     """Walking distance from ``position`` to every reachable object."""
-    require_finite_position(position)
-    framework.check_fresh()
-    return _object_distances(framework, position, radius=None)
+    return _object_distances(framework, position, math.inf)
 
 
 def distance_join(
@@ -130,7 +93,6 @@ def distance_join(
     require_finite(radius, "join radius")
     if radius < 0:
         raise QueryError(f"join radius must be non-negative, got {radius}")
-    framework.check_fresh()
     pairs: List[Tuple[int, int, float]] = []
     for obj in sorted(framework.objects, key=lambda o: o.object_id):
         for other_id, distance in _object_distances(

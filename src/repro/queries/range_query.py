@@ -6,10 +6,16 @@ minimum indoor walking distance from ``q`` is at most ``r``.
 The algorithm first searches ``q``'s host partition, then, for each door
 ``d_i`` through which the host partition can be left, scans all other doors
 ``d_j`` in non-descending M_d2d[d_i, ·] order (via M_idx), stopping as soon
-as a door exceeds the remaining budget.  For each reachable door it consults
-the DPT: a partition whose f_dv fits entirely inside the remaining budget
-contributes its whole bucket without opening it; otherwise a grid-pruned
-``rangeSearch`` from the door runs inside the bucket.
+as a door is out of range.  For each reachable door it consults the DPT: a
+partition whose f_dv fits entirely inside the range contributes its whole
+bucket without opening it; otherwise a grid-pruned ``rangeSearch`` from the
+door runs inside the bucket.
+
+The composite queries of :mod:`repro.queries.advanced` consume the same
+door walk.  An object at ``intra`` from ``d_j`` is admitted iff ``reach +
+intra <= r`` with ``reach = dist_v(q, d_i) + D(d_i, d_j)``: the float sum
+Algorithm 4, kNN and the composites report.  The whole-bucket test is
+``reach + f_dv <= r``, exact because float addition is monotone.
 
 ``door_scans`` swaps the source of the sorted scan: a serving batch passes
 its :class:`~repro.serve.batch.SharedDoorScans` so co-batched queries from
@@ -25,16 +31,83 @@ searched more than once — the union semantics below handles that naturally.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Set
+import math
+from typing import TYPE_CHECKING, Iterator, List, Optional, Set, Tuple
 
 from repro.exceptions import QueryError
 from repro.geometry import Point
 from repro.index.backend import DoorScanSource
 from repro.index.framework import IndexFramework
+from repro.index.grid import PartitionGrid
 from repro.queries.checks import require_finite, require_finite_position
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.deadline import Deadline
+
+
+def _slack(radius: float) -> float:
+    """How far every bound ``radius - partial`` passed down is widened, so
+    that it cuts no ``x`` with ``partial + x <= radius`` in floats.  Such an
+    ``x`` exceeds the exact ``radius - partial`` by at most ``ulp(radius)/2``;
+    the subtraction rounds by at most ``ulp(radius)/2`` and adding the slack
+    by at most ``ulp(radius)`` (it may cross a binade).  Callers re-test the
+    sum, so the slack admits nothing."""
+    return 2 * math.ulp(radius)
+
+
+def _door_walk(
+    framework: IndexFramework,
+    position: Point,
+    radius: float,
+    use_index: bool = True,
+    deadline: Optional["Deadline"] = None,
+    door_scans: Optional[DoorScanSource] = None,
+) -> Iterator[Tuple[PartitionGrid, Point, float, float]]:
+    """Yield ``(bucket, anchor, reach, longest_reach)`` per bucket entered.
+
+    First the host bucket, anchored at ``position`` with ``reach = 0.0`` and
+    ``longest_reach = inf``; then, per leaveable door ``d_i`` (ascending id)
+    and scanned door ``d_j`` with ``reach = dist_v(q, d_i) + D(d_i, d_j) <=
+    radius``, each bucket the DPT enters through ``d_j``, anchored at its
+    midpoint, with its f_dv.  ``radius`` may be ``inf``.
+    """
+    require_finite_position(position)
+    framework.check_fresh()
+    if deadline is not None:
+        deadline.check("range query")
+    space = framework.space
+    host = space.require_host_partition(position)
+    store = framework.objects
+    if door_scans is None:
+        door_scans = framework.distance_index
+
+    slack = _slack(radius)
+    bucket = store.bucket(host.partition_id)
+    if bucket is not None:
+        yield bucket, position, 0.0, math.inf
+
+    for di in sorted(space.topology.leaveable_doors(host.partition_id)):
+        if deadline is not None:
+            deadline.check("range query")
+        to_door = space.dist_v(position, di, host)
+        if to_door > radius or to_door == math.inf:
+            continue
+        scan = (
+            door_scans.doors_by_distance(di, max_distance=radius - to_door + slack)
+            if use_index
+            else framework.distance_index.doors_unsorted(di)
+        )
+        for dj, door_distance in scan:
+            if deadline is not None:
+                deadline.check("range query")
+            reach = to_door + door_distance
+            if reach > radius or reach == math.inf:
+                continue  # a widened-bound straggler, or the unsorted scan
+            anchor = space.door(dj).midpoint
+            for partition_id, longest_reach in framework.dpt.record(dj).enterable():
+                target_bucket = store.bucket(partition_id)
+                if target_bucket is not None:
+                    yield target_bucket, anchor, reach, longest_reach
 
 
 def range_query(
@@ -69,55 +142,19 @@ def range_query(
         StaleIndexError: when the space topology mutated after the
             framework was built.
     """
-    require_finite_position(position)
     require_finite(radius, "range radius")
     if radius < 0:
         raise QueryError(f"range radius must be non-negative, got {radius}")
-    framework.check_fresh()
-    if deadline is not None:
-        deadline.check("range query")
-    space = framework.space
-    host = space.require_host_partition(position)
-    store = framework.objects
-    if door_scans is None:
-        door_scans = framework.distance_index
-
     results: Set[int] = set()
-    bucket = store.bucket(host.partition_id)
-    if bucket is not None:
-        results.update(oid for oid, _ in bucket.range_search(position, radius))
-
-    for di in sorted(space.topology.leaveable_doors(host.partition_id)):
-        if deadline is not None:
-            deadline.check("range query")
-        budget = radius - space.dist_v(position, di, host)
-        if budget < 0:
-            continue
-        scan = (
-            door_scans.doors_by_distance(di, max_distance=budget)
-            if use_index
-            else framework.distance_index.doors_unsorted(di)
-        )
-        for dj, door_distance in scan:
-            if deadline is not None:
-                deadline.check("range query")
-            if door_distance > budget:
-                continue  # only reachable on the unsorted scan
-            remaining = budget - door_distance
-            door_point = space.door(dj).midpoint
-            for partition_id, longest_reach in framework.dpt.record(dj).enterable():
-                target_bucket = store.bucket(partition_id)
-                if target_bucket is None:
-                    continue
-                if longest_reach <= remaining:
-                    # The whole partition fits inside the range: take the
-                    # bucket without opening it (Algorithm 5 lines 12-13).
-                    results.update(target_bucket.object_ids())
-                else:
-                    results.update(
-                        oid
-                        for oid, _ in target_bucket.range_search(
-                            door_point, remaining
-                        )
-                    )
+    slack = _slack(radius)
+    for bucket, anchor, reach, longest_reach in _door_walk(
+        framework, position, radius, use_index, deadline, door_scans
+    ):
+        if reach + longest_reach <= radius:
+            # The whole partition fits inside the range: take the bucket
+            # without opening it (Algorithm 5 lines 12-13).
+            results.update(bucket.object_ids())
+        else:
+            found = bucket.range_search(anchor, radius - reach + slack)
+            results.update(oid for oid, intra in found if reach + intra <= radius)
     return sorted(results)

@@ -241,43 +241,37 @@ def drop_dpt_records(
     return FaultHandle(f"drop_dpt_records({dropped})", _undo=restore)
 
 
-class FlakyDistanceIndex:
-    """A distance-index proxy that dies after ``fail_after`` lookups.
+class _DistanceIndexProxy:
+    """A distance-index proxy running :meth:`_on_lookup` before each lookup.
 
-    Lookup methods (``distance``, ``doors_by_distance``, ``doors_unsorted``)
-    count accesses — including per-door yields of the scan iterators, so a
-    query can lose the index *mid-scan* — and raise
-    :class:`CorruptIndexError` once the budget is spent.  Everything else
-    (``md2d``, ``door_ids``, ...) delegates to the real index, so integrity
-    pre-checks pass and the loss genuinely strikes mid-query.
+    The lookup methods (``distance``, ``doors_by_distance``,
+    ``doors_unsorted``) call the hook once per call and once per scan yield,
+    so a fault can strike *mid-scan*.  Everything else (``md2d``,
+    ``door_ids``, ...) delegates to the real index, so integrity checks and
+    rebuild paths behave normally.
     """
 
-    def __init__(self, inner, fail_after: int) -> None:
+    def __init__(self, inner) -> None:
         self._inner = inner
-        self._remaining = fail_after
 
-    def _spend(self) -> None:
-        if self._remaining <= 0:
-            raise CorruptIndexError(
-                "injected fault: distance matrix lost mid-query"
-            )
-        self._remaining -= 1
+    def _on_lookup(self) -> None:
+        raise NotImplementedError
 
     def distance(self, from_door: int, to_door: int) -> float:
-        """M_d2d lookup that counts against the failure budget."""
-        self._spend()
+        """M_d2d lookup, hooked."""
+        self._on_lookup()
         return self._inner.distance(from_door, to_door)
 
     def doors_by_distance(self, from_door: int, max_distance=None):
-        """Sorted scan whose every yield counts against the budget."""
+        """Sorted scan; every yield is hooked."""
         for pair in self._inner.doors_by_distance(from_door, max_distance):
-            self._spend()
+            self._on_lookup()
             yield pair
 
     def doors_unsorted(self, from_door: int):
-        """Unsorted scan whose every yield counts against the budget."""
+        """Unsorted scan; every yield is hooked."""
         for pair in self._inner.doors_unsorted(from_door):
-            self._spend()
+            self._on_lookup()
             yield pair
 
     def __getattr__(self, name):
@@ -294,6 +288,25 @@ class FlakyDistanceIndex:
         if name.startswith("__") and name.endswith("__"):
             raise AttributeError(name)
         return getattr(inner, name)
+
+
+class FlakyDistanceIndex(_DistanceIndexProxy):
+    """A distance-index proxy that dies after ``fail_after`` lookups: each
+    lookup and scan yield spends one, and the next one after the budget is
+    spent raises :class:`CorruptIndexError`, so the loss genuinely strikes
+    mid-query while integrity pre-checks still pass.
+    """
+
+    def __init__(self, inner, fail_after: int) -> None:
+        super().__init__(inner)
+        self._remaining = fail_after
+
+    def _on_lookup(self) -> None:
+        if self._remaining <= 0:
+            raise CorruptIndexError(
+                "injected fault: distance matrix lost mid-query"
+            )
+        self._remaining -= 1
 
 
 def flip_snapshot_byte(

@@ -19,7 +19,6 @@ from repro.queries import (
     range_query,
     range_query_with_distances,
 )
-from repro.queries.advanced import _object_distances
 from tests.queries.conftest import random_point_in
 
 
@@ -275,14 +274,22 @@ class TestCompositeFreshness:
         with pytest.raises(StaleIndexError):
             COMPOSITES[name](framework)
 
-    def test_fresh_frameworks_answer_as_the_unguarded_expansion(self):
+    def test_fresh_frameworks_answer_as_brute_force(self):
         matrix_fw = _figure1_framework("matrix")
         matrix = {name: call(matrix_fw) for name, call in COMPOSITES.items()}
         labels_fw = _figure1_framework("labels")
         assert {name: call(labels_fw) for name, call in COMPOSITES.items()} == matrix
-        assert matrix["distances_to_all_objects"] == _object_distances(
-            matrix_fw, Q_FIG1, radius=None
-        )
+        brute = {
+            obj.object_id: pt2pt_distance_refined(
+                matrix_fw.space, Q_FIG1, obj.position
+            )
+            for obj in matrix_fw.objects
+        }
+        assert matrix["distances_to_all_objects"] == {
+            object_id: distance
+            for object_id, distance in brute.items()
+            if not math.isinf(distance)
+        }
         assert matrix["range_query_with_distances"]
         assert matrix["distance_join"]
 

@@ -11,6 +11,7 @@ import math
 
 import pytest
 
+from repro.chaos import LatencyDistanceIndex, install_latency
 from repro.exceptions import CorruptIndexError, QueryError
 from repro.model.figure1 import P, Q
 from repro.queries import knn_query, range_query
@@ -23,6 +24,7 @@ from repro.runtime import (
     install_flaky_distance_index,
     require_index_integrity,
 )
+from repro.runtime.faults import FlakyDistanceIndex
 
 RADII = [4.0, 9.0, 15.0]
 
@@ -281,8 +283,19 @@ class TestDistanceLadder:
         assert result.value == pytest.approx(math.hypot(P.x - Q.x, P.y - Q.y))
 
 
-class TestFlakyProxyProtocols:
-    """Regression: the proxy's ``__getattr__`` must fail cleanly, not loop.
+#: Each distance-index proxy: its class and an installer that swaps it in.
+PROXIES = {
+    "flaky": (
+        FlakyDistanceIndex,
+        lambda fw: install_flaky_distance_index(fw, fail_after=100),
+    ),
+    "latency": (LatencyDistanceIndex, lambda fw: install_latency(fw, per_call_ms=0)),
+}
+
+
+@pytest.mark.parametrize("proxy_kind", sorted(PROXIES))
+class TestIndexProxyProtocols:
+    """Regression: a proxy's ``__getattr__`` must fail cleanly, not loop.
 
     ``copy.copy`` / ``pickle`` probe dunders (``__copy__``,
     ``__reduce_ex__``'s helpers, ``__setstate__``) on instances — and on
@@ -292,30 +305,31 @@ class TestFlakyProxyProtocols:
     index's answers for protocols the proxy never implemented.
     """
 
-    def test_missing_dunder_raises_attribute_error(self, figure1_framework):
-        install_flaky_distance_index(figure1_framework, fail_after=100)
-        proxy = figure1_framework.distance_index
+    def _install(self, framework, proxy_kind):
+        PROXIES[proxy_kind][1](framework)
+        return framework.distance_index
+
+    def test_missing_dunder_raises_attribute_error(self, figure1_framework, proxy_kind):
+        proxy = self._install(figure1_framework, proxy_kind)
         with pytest.raises(AttributeError):
             proxy.__copy__
         with pytest.raises(AttributeError):
             proxy.__deepcopy__
 
-    def test_missing_inner_raises_attribute_error(self):
-        from repro.runtime.faults import FlakyDistanceIndex
-
-        half_built = FlakyDistanceIndex.__new__(FlakyDistanceIndex)
+    def test_missing_inner_raises_attribute_error(self, proxy_kind):
+        cls = PROXIES[proxy_kind][0]
+        half_built = cls.__new__(cls)
         with pytest.raises(AttributeError):
             half_built.anything  # noqa: B018 — the lookup is the test
 
-    def test_copy_does_not_recurse(self, figure1_framework):
+    def test_copy_does_not_recurse(self, figure1_framework, proxy_kind):
         import copy
 
-        install_flaky_distance_index(figure1_framework, fail_after=100)
-        proxy = figure1_framework.distance_index
+        proxy = self._install(figure1_framework, proxy_kind)
         duplicate = copy.copy(proxy)
         assert duplicate._inner is proxy._inner
 
-    def test_non_dunder_delegation_still_works(self, figure1_framework):
-        install_flaky_distance_index(figure1_framework, fail_after=100)
-        proxy = figure1_framework.distance_index
+    def test_non_dunder_delegation_still_works(self, figure1_framework, proxy_kind):
+        proxy = self._install(figure1_framework, proxy_kind)
+        assert isinstance(proxy, PROXIES[proxy_kind][0])
         assert proxy.size == len(proxy.door_ids)

@@ -9,6 +9,7 @@ import random
 import pytest
 
 from repro import IndoorObject, Point, QueryEngine
+from repro.distance.point_to_point import pt2pt_distance_memoized
 from repro.exceptions import QueryError
 from repro.model.figure1 import P, build_figure1
 from repro.queries import knn_query, range_query
@@ -67,6 +68,18 @@ class TestRangeMonitor:
         watch = session.watch_range(P, 8.0)
         session.move_object(1, Point(6.8, 8.8))
         assert watch.result == [1, 2]
+        assert watch.events == []
+
+    def test_object_at_exactly_the_radius_is_a_member_from_the_start(self, session):
+        # The monitor updates by ``pt2pt <= radius``; its initial members
+        # must follow the same rule, also for an object on the boundary.
+        position = Point(0.8, 7.8)
+        session.add_object(IndoorObject(4, position))
+        radius = pt2pt_distance_memoized(session.engine.framework.space, P, position)
+        watch = session.watch_range(P, radius)
+        assert 4 in watch.result
+        session.move_object(4, position)
+        assert 4 in watch.result
         assert watch.events == []
 
     def test_negative_radius_raises(self, session):
