@@ -98,17 +98,32 @@ class IndexFramework:
         distance_index = build_distance_backend(
             space, backend, reference_matrix
         )
-        graph = space.distance_graph
-        dpt = DoorPartitionTable.build(graph)
-        rtree = PartitionRTree(space).install()
-        store = ObjectStore(space, cell_size)
+        framework = cls._assemble(
+            space,
+            distance_index,
+            cell_size,
+            {"backend": backend, "reference_matrix": reference_matrix},
+        )
         if objects is not None:
-            store.add_all(objects)
-        framework = cls(space, distance_index, dpt, rtree, store)
-        framework.build_config = {
-            "backend": backend,
-            "reference_matrix": reference_matrix,
-        }
+            framework.objects.add_all(objects)
+        return framework
+
+    @classmethod
+    def _assemble(
+        cls,
+        space: IndoorSpace,
+        distance_index: DistanceBackend,
+        cell_size: float,
+        build_config: dict,
+    ) -> "IndexFramework":
+        """The DPT, R-tree and an empty object store around a ready
+        distance backend (G_dist already precomputed)."""
+        dpt = DoorPartitionTable.build(space.distance_graph)
+        rtree = PartitionRTree(space).install()
+        framework = cls(
+            space, distance_index, dpt, rtree, ObjectStore(space, cell_size)
+        )
+        framework.build_config = build_config
         return framework
 
     def with_objects(self, store: ObjectStore) -> "IndexFramework":
@@ -152,23 +167,50 @@ class IndexFramework:
                 current_epoch=current,
             )
 
-    def rebuild(self) -> "IndexFramework":
-        """Recompute every index structure against the space's current
-        topology, carrying the object population over — **and** the build
-        configuration: a labels-backed (or reference-matrix) framework
-        rebuilds with the same backend instead of silently reverting to
-        the fast dense matrix.
+    def rebuild(self, records: Optional[Iterable] = None) -> "IndexFramework":
+        """Refresh every index structure against the space's current
+        topology.
+
+        The build configuration carries over (a labels-backed or
+        reference-matrix framework stays one), and so does each object
+        with its recorded host partition: topology mutations never move
+        objects between partitions, so no point location runs.  Given the
+        WAL ``records`` of the mutations since :attr:`built_epoch`, a
+        labels framework keeps its labels and patches them
+        (:func:`repro.labels.repair.repair_labels`); every other case — no
+        records, the matrix backend, a ``remove_door``, a record gap —
+        recomputes the distance backend from scratch.
 
         Returns a fresh framework; the original is left untouched so callers
         can swap atomically.
         """
-        return IndexFramework.build(
+        backend = str(self.build_config.get("backend", "matrix"))
+        distance_index = None
+        kind = getattr(self.distance_index, "kind", None)
+        if records is not None and backend == kind == "labels":
+            from repro.labels.repair import repair_labels
+
+            self.graph.precompute()
+            distance_index = repair_labels(
+                self.distance_index, self.graph, self.built_epoch, records
+            )
+        if distance_index is None:
+            distance_index = build_distance_backend(
+                self.space,
+                backend,
+                bool(self.build_config.get("reference_matrix")),
+            )
+        fresh = IndexFramework._assemble(
             self.space,
-            list(self.objects),
+            distance_index,
             self.objects.cell_size,
-            reference_matrix=bool(self.build_config.get("reference_matrix")),
-            backend=str(self.build_config.get("backend", "matrix")),
+            dict(self.build_config),
         )
+        for obj in self.objects:
+            fresh.objects.add(
+                obj, partition_id=self.objects.host_partition_id(obj.object_id)
+            )
+        return fresh
 
     @property
     def graph(self):
@@ -181,7 +223,7 @@ class IndexFramework:
         N×N×8 for the index ordering as stored; DPT: 28 bytes per record).
 
         ``backend_bytes`` breaks the distance structure down per component
-        (labels vs edges vs patches for the labeled backend), so
+        (labels vs hierarchy vs patches for the labeled backend), so
         dense and labeled footprints are directly comparable.
         """
         return {

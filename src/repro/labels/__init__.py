@@ -12,25 +12,17 @@ alternative behind ``IndexFramework.build(backend="labels")``:
 * :mod:`repro.labels.index` — :class:`LabeledDistanceIndex`, the
   :class:`repro.index.DistanceBackend` implementation.
 * :mod:`repro.labels.serialize` — the deterministic snapshot codec.
-* :mod:`repro.labels.repair` — WAL-driven incremental repair with
-  full-rebuild fallback.
+* :mod:`repro.labels.repair` — WAL-driven incremental repair: patch hubs
+  from the records alone, with full-rebuild fallback; reached through
+  :meth:`repro.index.IndexFramework.rebuild` given the records.
 
 See ``docs/indexing.md`` for when to prefer labels over the matrix.
 """
 
 from repro.labels.builder import HubLabeling, build_labeling
-from repro.labels.hierarchy import (
-    VertexHierarchy,
-    affected_cone,
-    build_hierarchy,
-)
+from repro.labels.hierarchy import VertexHierarchy, build_hierarchy
 from repro.labels.index import LabelPatches, LabeledDistanceIndex
-from repro.labels.repair import (
-    MAX_PATCHES,
-    RepairOutcome,
-    repair_framework,
-    repair_labels,
-)
+from repro.labels.repair import MAX_PATCHES, repair_labels
 from repro.labels.serialize import labels_from_bytes, labels_to_bytes
 
 __all__ = [
@@ -38,13 +30,10 @@ __all__ = [
     "LabelPatches",
     "LabeledDistanceIndex",
     "MAX_PATCHES",
-    "RepairOutcome",
     "VertexHierarchy",
-    "affected_cone",
     "build_hierarchy",
     "build_labeling",
     "labels_from_bytes",
     "labels_to_bytes",
-    "repair_framework",
     "repair_labels",
 ]

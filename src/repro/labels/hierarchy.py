@@ -8,14 +8,12 @@ later levels still see every routing relationship that passed through the
 removed vertex.  Vertices peeled early sit at the **bottom** of the
 hierarchy (level 0); the dense residual core peeled last sits at the top.
 
-The hierarchy serves two consumers:
-
-* :mod:`repro.labels.builder` processes hubs top-of-hierarchy first — the
-  order that makes pruned 2-hop labeling produce small labels, because
-  central vertices cover many shortest paths (TopCom, arXiv:1602.01537,
-  makes the same argument for directed topological orders).
-* :mod:`repro.labels.repair` uses levels to report the affected hierarchy
-  cone of a topology mutation.
+:mod:`repro.labels.builder` processes hubs top-of-hierarchy first — the
+order that makes pruned 2-hop labeling produce small labels, because
+central vertices cover many shortest paths (TopCom, arXiv:1602.01537,
+makes the same argument for directed topological orders).  Incremental
+repair (:mod:`repro.labels.repair`) does not read the hierarchy: its
+patch hubs come from the WAL records alone.
 
 Everything here is deterministic: ties break on ascending door id, and no
 randomness or wall-clock is consulted.
@@ -152,17 +150,3 @@ def build_hierarchy(
     )
     return VertexHierarchy(door_ids=ids, levels=levels, order=order)
 
-
-def affected_cone(
-    hierarchy: VertexHierarchy, seed_indices: Sequence[int]
-) -> np.ndarray:
-    """Matrix indices whose hierarchy position is at or above any seed —
-    the label entries a topology mutation at the seeds can invalidate.
-
-    Used by :mod:`repro.labels.repair` to size an incremental patch before
-    deciding between in-place repair and the full-rebuild fallback.
-    """
-    if len(seed_indices) == 0:
-        return np.empty(0, dtype=np.int64)
-    floor = int(hierarchy.levels[np.asarray(seed_indices, dtype=np.int64)].min())
-    return np.flatnonzero(hierarchy.levels >= floor).astype(np.int64)

@@ -44,28 +44,6 @@ ROW_CACHE_LIMIT = 64
 
 
 @dataclass(frozen=True)
-class EdgeArrays:
-    """Directed door-graph edges by door id, as three parallel arrays."""
-
-    src: np.ndarray
-    dst: np.ndarray
-    w: np.ndarray
-
-    @classmethod
-    def of(cls, edges: Sequence[Tuple[int, int, float]]) -> "EdgeArrays":
-        """Pack ``(from_door, to_door, weight)`` triples."""
-        return cls(
-            np.array([e[0] for e in edges], dtype=np.int64),
-            np.array([e[1] for e in edges], dtype=np.int64),
-            np.array([e[2] for e in edges], dtype=np.float64),
-        )
-
-    @property
-    def nbytes(self) -> int:
-        return int(self.src.nbytes + self.dst.nbytes + self.w.nbytes)
-
-
-@dataclass(frozen=True)
 class LabelPatches:
     """Incremental-repair overlay: canonical rows through the patch hubs.
 
@@ -100,15 +78,11 @@ class LabeledDistanceIndex:
         door_ids: Sequence[int],
         labeling: HubLabeling,
         hierarchy: VertexHierarchy,
-        edges: EdgeArrays,
         patches: Optional[LabelPatches] = None,
     ) -> None:
         self._base_door_ids: Tuple[int, ...] = tuple(door_ids)
         self._labeling = labeling
         self._hierarchy = hierarchy
-        #: Door graph at label-build time, by door id — the baseline
-        #: incremental repair diffs topology mutations against.
-        self._base_edges = edges
         self._patches = patches
 
         self._door_ids: Tuple[int, ...] = (
@@ -152,7 +126,7 @@ class LabeledDistanceIndex:
         door_ids = graph.space.topology.door_ids
         edges = door_graph_edges(graph)
         labeling, hierarchy = build_labeling(door_ids, edges)
-        return cls(door_ids, labeling, hierarchy, EdgeArrays.of(edges))
+        return cls(door_ids, labeling, hierarchy)
 
     def with_patches(self, patches: Optional[LabelPatches]) -> "LabeledDistanceIndex":
         """A sibling index sharing this one's labels but carrying a
@@ -161,7 +135,6 @@ class LabeledDistanceIndex:
             self._base_door_ids,
             self._labeling,
             self._hierarchy,
-            self._base_edges,
             patches=patches,
         )
 
@@ -185,10 +158,6 @@ class LabeledDistanceIndex:
     @property
     def hierarchy(self) -> VertexHierarchy:
         return self._hierarchy
-
-    @property
-    def base_edges(self) -> EdgeArrays:
-        return self._base_edges
 
     @property
     def patches(self) -> Optional[LabelPatches]:
@@ -354,8 +323,8 @@ class LabeledDistanceIndex:
     # Accounting + integrity
     # ------------------------------------------------------------------
     def memory_bytes(self) -> int:
-        """Resident bytes: labels + hierarchy + base edges + patches + the
-        current row cache."""
+        """Resident bytes: labels + hierarchy + patches + the current row
+        cache."""
         report = self.memory_report()
         return int(sum(v for k, v in report.items() if k.endswith("_bytes")))
 
@@ -374,7 +343,6 @@ class LabeledDistanceIndex:
         hierarchy_bytes = int(
             self._hierarchy.levels.nbytes + self._hierarchy.order.nbytes
         )
-        edge_bytes = self._base_edges.nbytes
         patch_bytes = (
             0 if self._patches is None else self._patches.memory_bytes()
         )
@@ -388,7 +356,6 @@ class LabeledDistanceIndex:
         return {
             "labels_bytes": label_bytes,
             "hierarchy_bytes": hierarchy_bytes,
-            "edges_bytes": edge_bytes,
             "patches_bytes": patch_bytes,
             "row_cache_bytes": cache_bytes,
             "label_entries": self._labeling.entry_count,

@@ -21,15 +21,15 @@ import numpy as np
 from repro.exceptions import SerializationError
 from repro.labels.builder import HubLabeling
 from repro.labels.hierarchy import VertexHierarchy
-from repro.labels.index import EdgeArrays, LabeledDistanceIndex, LabelPatches
+from repro.labels.index import LabeledDistanceIndex, LabelPatches
 
-#: Version 2 drops the correction-table arrays version 1 carried.
-_CODEC_VERSION = 2
+#: Version 2 drops the correction-table arrays version 1 carried; version
+#: 3 drops the build-time door-graph edges (repair reads WAL records).
+_CODEC_VERSION = 3
 
 
 def _collect_arrays(index: LabeledDistanceIndex) -> Dict[str, np.ndarray]:
     lab = index.labeling
-    edges = index.base_edges
     arrays: Dict[str, np.ndarray] = {
         "base_door_ids": np.asarray(index.hierarchy.door_ids, dtype=np.int64),
         "out_indptr": lab.out_indptr,
@@ -40,9 +40,6 @@ def _collect_arrays(index: LabeledDistanceIndex) -> Dict[str, np.ndarray]:
         "in_dists": lab.in_dists,
         "levels": index.hierarchy.levels,
         "order": index.hierarchy.order,
-        "edge_src": edges.src,
-        "edge_dst": edges.dst,
-        "edge_w": edges.w,
     }
     patches = index.patches
     if patches is not None:
@@ -113,9 +110,6 @@ def labels_from_bytes(data: bytes) -> LabeledDistanceIndex:
         "in_dists",
         "levels",
         "order",
-        "edge_src",
-        "edge_dst",
-        "edge_w",
     }
     missing = required - set(arrays)
     if missing:
@@ -138,7 +132,6 @@ def labels_from_bytes(data: bytes) -> LabeledDistanceIndex:
     hierarchy = VertexHierarchy(
         door_ids=door_ids, levels=arrays["levels"], order=arrays["order"]
     )
-    edges = EdgeArrays(arrays["edge_src"], arrays["edge_dst"], arrays["edge_w"])
     patches = None
     if "patch_door_ids" in arrays:
         patches = LabelPatches(
@@ -147,4 +140,4 @@ def labels_from_bytes(data: bytes) -> LabeledDistanceIndex:
             fwd=arrays["patch_fwd"],
             bwd=arrays["patch_bwd"],
         )
-    return LabeledDistanceIndex(door_ids, labeling, hierarchy, edges, patches)
+    return LabeledDistanceIndex(door_ids, labeling, hierarchy, patches)

@@ -10,8 +10,9 @@ stored with their host partition id, so no point location runs on load).
 The manifest's ``backend`` key names which layout the file carries;
 format-1 files predate it and always hold a matrix.  Formats 1 and 2 were
 written before f_d2d weights were rounded to
-:data:`repro.model.distance_graph.WEIGHT_QUANTUM`, so their distance
-sections are not read: the backend is rebuilt from the decoded space.
+:data:`repro.model.distance_graph.WEIGHT_QUANTUM`, and format-3 labels
+sections use labels codec 2, so those distance sections are not read: the
+backend is rebuilt from the decoded space.
 
 Container layout (all integers big-endian)::
 
@@ -71,12 +72,13 @@ MAGIC = b"RPROSNAP"
 #: frameworks, replaces the ``md2d`` section with a ``labels`` section
 #: (:mod:`repro.labels.serialize` codec).  Version 3 stores distances
 #: built on rounded f_d2d weights and labels codec 2 (no correction
-#: table).  Version 1 and 2 files still load, with their distance
-#: sections re-derived from the space.
-SNAPSHOT_FORMAT_VERSION = 3
+#: table).  Version 4 stores labels codec 3 (no build-time door-graph
+#: edges).  Version 1 and 2 files, and version-3 labels files, still
+#: load, with their distance sections re-derived from the space.
+SNAPSHOT_FORMAT_VERSION = 4
 
 #: Every container version this reader understands.
-SUPPORTED_FORMAT_VERSIONS = (1, 2, 3)
+SUPPORTED_FORMAT_VERSIONS = (1, 2, 3, 4)
 
 #: Section names for a matrix-backed snapshot, in on-disk order.
 SECTIONS = ("space", "md2d", "door_ids", "dpt", "objects")
@@ -341,7 +343,8 @@ def read_manifest(path: PathLike) -> dict:
 def _load_distance_index(
     path: Path, space, backend: str, payloads: Dict[str, bytes]
 ) -> DistanceBackend:
-    """Decode and cross-check a v3 file's distance sections."""
+    """Decode and cross-check the distance sections of a file in a
+    current codec (matrix since v3, labels since v4)."""
     door_ids = tuple(int(d) for d in _npy_load(payloads["door_ids"], "door_ids"))
     if backend == "labels":
         from repro.exceptions import SerializationError
@@ -411,8 +414,10 @@ def load_snapshot(path: PathLike) -> Tuple[IndexFramework, dict]:
     space.restore_topology_epoch(int(manifest["topology_epoch"]))
 
     backend = str(manifest.get("backend", "matrix"))
-    if int(manifest.get("format_version", 1)) < 3:
-        # Pre-v3 distance sections were built on unrounded f_d2d weights.
+    version = int(manifest.get("format_version", 1))
+    if version < 3 or (backend == "labels" and version < 4):
+        # Pre-v3 distance sections were built on unrounded f_d2d weights;
+        # v3 labels sections are in labels codec 2.
         distance_index = build_distance_backend(space, backend)
     else:
         distance_index = _load_distance_index(path, space, backend, payloads)

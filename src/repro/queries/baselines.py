@@ -32,7 +32,8 @@ def brute_force_range(
     radius: float,
     deadline: Optional["Deadline"] = None,
 ) -> List[int]:
-    """Exact range query by evaluating pt2pt distance per object."""
+    """Exact range query by evaluating pt2pt distance per object, with
+    ``range_query``'s admission rule: an exact ``distance <= radius``."""
     require_finite_position(position)
     require_finite(radius, "range radius")
     if radius < 0:
@@ -44,7 +45,7 @@ def brute_force_range(
         distance = pt2pt_distance_refined(
             space, position, obj.position, deadline=deadline
         )
-        if distance <= radius + 1e-9:
+        if distance <= radius:
             results.append(obj.object_id)
     return sorted(results)
 

@@ -18,9 +18,11 @@ plane that rolls a topology mutation across the fleet with zero downtime:
    fill; it never mixes epochs and never serves a stale exact answer.
 3. **Prepare.**  Each worker receives the WAL delta over its pipe and
    stages the next epoch's index on a *private copy* of its space
-   (:func:`stage_framework`) — labels shards reuse the WAL-driven
-   incremental repair of :mod:`repro.labels.repair`, matrix shards
-   rebuild — while still answering queries at the old epoch.
+   (:func:`stage_framework`, which hands the delta to
+   :meth:`IndexFramework.rebuild`: labels shards take the WAL-driven
+   incremental repair of :mod:`repro.labels.repair` when the records
+   allow it, matrix shards rebuild) while still answering queries at
+   the old epoch.
 4. **Commit.**  After every reachable worker acks its prepare, commits
    roll shard by shard; each ack atomically flips that worker's served
    epoch.  A worker that cannot prepare (or died in between) falls to
@@ -54,7 +56,6 @@ import threading
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.index.framework import IndexFramework
-from repro.index.objects import ObjectStore
 from repro.io.json_io import space_from_dict, space_to_dict
 from repro.persist.wal import TopologyWAL, WalRecord, WalRecorder, replay_records
 from repro.runtime import crashpoints
@@ -80,62 +81,6 @@ RECONFIG_COUNTERS = (
 )
 
 
-def _owned_store_on(space, objects: ObjectStore) -> ObjectStore:
-    """``objects`` re-homed onto ``space`` with every object keeping its
-    recorded host partition.
-
-    Topology mutations never move objects between partitions (partition
-    geometry is immutable; doors only rewire the graph), so carrying the
-    host assignment over verbatim — instead of re-resolving it
-    geometrically — preserves the disjoint-and-covering ownership the
-    scatter-gather merge proofs rest on, bit for bit.
-    """
-    store = ObjectStore(space, objects.cell_size)
-    for obj in objects:
-        store.add(obj, partition_id=objects.host_partition_id(obj.object_id))
-    return store
-
-
-def reindex_framework(
-    framework: IndexFramework,
-    records: Optional[Sequence[WalRecord]] = None,
-) -> Tuple[IndexFramework, str]:
-    """A fresh framework over ``framework.space`` (already mutated to the
-    target epoch), preserving object ownership exactly.
-
-    Labels-backed frameworks go through the WAL-driven incremental repair
-    (:func:`repro.labels.repair.repair_framework`) and only rebuild when
-    the delta demands it (``remove_door``, or past the patch budget);
-    matrix-backed ones always rebuild — exactly the asymmetry the
-    restart ladder already encodes.  Returns ``(fresh, how)`` where
-    ``how`` names the path taken (``"repair: …"`` or ``"rebuild"``).
-    """
-    backend = str(framework.build_config.get("backend", "matrix"))
-    if backend == "labels":
-        from repro.labels.repair import repair_framework
-
-        fresh, outcome = repair_framework(framework, records=records)
-        how = (
-            f"repair: {outcome.reason}"
-            if outcome.repaired
-            else f"rebuild: {outcome.reason}"
-        )
-    else:
-        fresh = IndexFramework.build(
-            framework.space,
-            cell_size=framework.objects.cell_size,
-            reference_matrix=bool(
-                framework.build_config.get("reference_matrix")
-            ),
-            backend=backend,
-        )
-        how = "rebuild"
-    staged = fresh.with_objects(
-        _owned_store_on(framework.space, framework.objects)
-    )
-    return staged, how
-
-
 def stage_framework(
     framework: IndexFramework,
     records: Sequence[WalRecord],
@@ -146,7 +91,10 @@ def stage_framework(
     The delta replays on a **private copy** of the space (the dict
     round-trip is float-exact), so the serving framework — and every
     query interleaved with the staging — is untouched until ``commit``
-    swaps the whole framework atomically.  Returns ``(staged, how)``.
+    swaps the whole framework atomically.  Returns ``(staged, how)``,
+    where ``how`` names the path :meth:`IndexFramework.rebuild` took:
+    ``"repair"`` when the staged index still shares the serving one's
+    labels, ``"rebuild"`` otherwise.
     """
     staged_space = space_from_dict(space_to_dict(framework.space))
     staged_space.restore_topology_epoch(framework.space.topology_epoch)
@@ -163,7 +111,12 @@ def stage_framework(
     shim.built_epoch = framework.built_epoch
     shim.build_config = dict(framework.build_config)
     shim.build_config["backend"] = backend
-    return reindex_framework(shim, records)
+    staged = shim.rebuild(records)
+    shared = getattr(framework.distance_index, "labeling", None)
+    repaired = shared is not None and shared is getattr(
+        staged.distance_index, "labeling", None
+    )
+    return staged, "repair" if repaired else "rebuild"
 
 
 class ReconfigCoordinator:
@@ -305,7 +258,7 @@ class ReconfigCoordinator:
         # any prepare: from this instant every restart rejoins at
         # ``target`` and the router fences below it — no exact
         # old-epoch answer can be merged even if we die right here.
-        staged, _ = reindex_framework(framework, pending)
+        staged = framework.rebuild(pending)
         with self._lock:
             self._staged_fw = staged
         self.supervisor.retarget(
@@ -345,8 +298,8 @@ class ReconfigCoordinator:
         if staged is None or staged.space.topology_epoch != target:
             # The staged framework was lost with the torn round; the live
             # space already carries the mutation (it applied before the
-            # fence rose), so reindexing it lands at the target.
-            staged, _ = reindex_framework(framework, pending)
+            # fence rose), so rebuilding it lands at the target.
+            staged = framework.rebuild(pending)
             with self._lock:
                 self._staged_fw = staged
         self._run_round(target)

@@ -89,9 +89,6 @@ from repro.serve.requests import QueryKind, QueryRequest, QueryResponse
 from repro.shard.placement import FloorPlacement
 from repro.shard.supervisor import ShardAnswer, ShardSupervisor
 
-#: Matches the engine's range-predicate slack (see runtime.ladder).
-_RANGE_EPS = 1e-9
-
 #: Everything a gather can fail with.  ``FutureTimeout`` is distinct
 #: from the builtin ``TimeoutError`` before Python 3.11, and
 #: ``Future.result`` raises the former.
@@ -624,11 +621,13 @@ class ScatterGatherRouter:
         if bounds is None:
             targets = populated
         else:
-            # Sound: every object of a pruned shard sits at a walking
-            # distance >= its bound > radius + slack, so the engine's
-            # range predicate excludes it too.
-            limit = request.radius + _RANGE_EPS
-            targets = [s for s in populated if bounds[s] <= limit]
+            # Sound with no slack: a bound is a min of D(ds, dt) terms,
+            # and every walking distance to an object of that shard is a
+            # float sum of non-negative terms that includes one of them.
+            # Float addition of non-negative terms is monotone, so that
+            # distance >= bound > radius, and the engine's exact
+            # ``<= radius`` predicate excludes the object too.
+            targets = [s for s in populated if bounds[s] <= request.radius]
         pruned = len(targets) < len(populated)
         if pruned:
             self.metrics.increment(

@@ -3,7 +3,7 @@
 import numpy as np
 
 from repro.distance.matrix import door_graph_edges
-from repro.labels import affected_cone, build_hierarchy
+from repro.labels import build_hierarchy
 
 
 def _graph_inputs(space):
@@ -59,20 +59,3 @@ class TestBuildHierarchy:
         assert hierarchy.height == 0
         assert len(hierarchy.order) == 0
 
-
-class TestAffectedCone:
-    def test_cone_contains_seed_and_everything_above(self, building_space):
-        door_ids, edges = _graph_inputs(building_space)
-        hierarchy = build_hierarchy(door_ids, edges)
-        seed = int(np.argmin(hierarchy.levels))
-        cone = affected_cone(hierarchy, [seed])
-        assert seed in cone
-        floor = int(hierarchy.levels[seed])
-        assert set(cone.tolist()) == set(
-            np.flatnonzero(hierarchy.levels >= floor).tolist()
-        )
-
-    def test_empty_seed_empty_cone(self, building_space):
-        door_ids, edges = _graph_inputs(building_space)
-        hierarchy = build_hierarchy(door_ids, edges)
-        assert len(affected_cone(hierarchy, [])) == 0

@@ -25,21 +25,8 @@ class TestRoundTrip:
         index = labels.distance_index
         assert labels_to_bytes(index) == labels_to_bytes(index)
 
-    def test_base_edges_survive(self, building_pair):
-        """Repair diffs against the serialized base edges, so they must
-        travel with the labels."""
-        labels, _ = building_pair
-        index = labels.distance_index
-        restored = labels_from_bytes(labels_to_bytes(index))
-        for name in ("src", "dst", "w"):
-            assert np.array_equal(
-                getattr(restored.base_edges, name),
-                getattr(index.base_edges, name),
-            )
-
     def test_patches_survive(self, figure1_pair):
         from repro.labels.index import LabelPatches
-        import numpy as np
 
         labels, _ = figure1_pair
         index = labels.distance_index

@@ -1,5 +1,5 @@
-"""Snapshot formats v2/v3: the labels-backend section and pre-v3 loading
-(repro.persist.snapshot)."""
+"""Snapshot formats v2–v4: the labels-backend section, and loading of
+pre-v3 files and v3 labels files (repro.persist.snapshot)."""
 
 import hashlib
 import json
@@ -9,8 +9,10 @@ import zlib
 import numpy as np
 import pytest
 
+from repro.distance.matrix import door_graph_edges
 from repro.exceptions import SnapshotCorruptError
 from repro.index import IndexFramework
+from repro.labels import labels_to_bytes
 from repro.persist import load_snapshot, read_manifest, save_snapshot
 from repro.persist.snapshot import (
     MAGIC,
@@ -33,9 +35,9 @@ def labels_framework(figure1_framework):
 
 
 class TestFormat:
-    def test_version_3_and_the_older_range(self):
-        assert SNAPSHOT_FORMAT_VERSION == 3
-        assert SUPPORTED_FORMAT_VERSIONS == (1, 2, 3)
+    def test_version_4_and_the_older_range(self):
+        assert SNAPSHOT_FORMAT_VERSION == 4
+        assert SUPPORTED_FORMAT_VERSIONS == (1, 2, 3, 4)
 
     def test_manifest_records_the_backend(
         self, labels_framework, figure1_framework, tmp_path
@@ -96,9 +98,10 @@ class TestRoundTrip:
                 ) == dense.distance(u, v)
 
 
-def _as_format_2(data: bytes, replace: dict) -> bytes:
-    """Re-pack a current snapshot as a format-2 container, swapping in
-    the given section payloads (checksums recomputed, so it verifies)."""
+def _as_format(data: bytes, version: int, replace: dict) -> bytes:
+    """Re-pack a current snapshot as a container of an older format
+    ``version``, swapping in the given section payloads (checksums
+    recomputed, so it verifies)."""
     head = struct.Struct(">II")
     head_len = len(MAGIC) + head.size
     _, manifest_len = head.unpack_from(data, len(MAGIC))
@@ -115,15 +118,47 @@ def _as_format_2(data: bytes, replace: dict) -> bytes:
             sha256=hashlib.sha256(payload).hexdigest(),
         )
         payloads.append(payload)
-    manifest["format_version"] = 2
+    manifest["format_version"] = version
     manifest_bytes = json.dumps(manifest, sort_keys=True).encode("utf-8")
     body = (
         MAGIC
-        + head.pack(2, len(manifest_bytes))
+        + head.pack(version, len(manifest_bytes))
         + manifest_bytes
         + b"".join(payloads)
     )
     return body + hashlib.sha256(body).digest()
+
+
+def _labels_codec_2(index, graph) -> bytes:
+    """The labels section as format 3 wrote it: codec 2, with the
+    build-time door-graph edges as three ``edge_*`` arrays."""
+    data = labels_to_bytes(index)
+    (header_len,) = struct.unpack(">Q", data[:8])
+    header = json.loads(data[8 : 8 + header_len])
+    arrays = {}
+    offset = 8 + header_len
+    for name, dtype_str, shape in header["arrays"]:
+        dtype = np.dtype(dtype_str)
+        nbytes = int(np.prod(shape)) * dtype.itemsize
+        arrays[name] = np.frombuffer(
+            data[offset : offset + nbytes], dtype=dtype
+        ).reshape(shape)
+        offset += nbytes
+    edges = door_graph_edges(graph)
+    arrays["edge_src"] = np.array([e[0] for e in edges], dtype=np.int64)
+    arrays["edge_dst"] = np.array([e[1] for e in edges], dtype=np.int64)
+    arrays["edge_w"] = np.array([e[2] for e in edges], dtype=np.float64)
+    descriptors, payload = [], bytearray()
+    for name in sorted(arrays):
+        array = np.ascontiguousarray(arrays[name])
+        descriptors.append((name, array.dtype.str, list(array.shape)))
+        payload.extend(array.tobytes())
+    head = json.dumps(
+        {"version": 2, "arrays": descriptors},
+        sort_keys=True,
+        separators=(",", ":"),
+    ).encode("utf-8")
+    return struct.pack(">Q", len(head)) + head + bytes(payload)
 
 
 class TestFormat2Files:
@@ -139,8 +174,10 @@ class TestFormat2Files:
         )
         path = tmp_path / "v2.snap"
         path.write_bytes(
-            _as_format_2(
-                snapshot_bytes(figure1_framework), {"md2d": _npy_bytes(drifted)}
+            _as_format(
+                snapshot_bytes(figure1_framework),
+                2,
+                {"md2d": _npy_bytes(drifted)},
             )
         )
         restored, manifest = load_snapshot(path)
@@ -156,8 +193,9 @@ class TestFormat2Files:
     ):
         path = tmp_path / "v2.snap"
         path.write_bytes(
-            _as_format_2(
+            _as_format(
                 snapshot_bytes(labels_framework),
+                2,
                 {"labels": b"labels codec 1, with a correction table"},
             )
         )
@@ -170,6 +208,53 @@ class TestFormat2Files:
                 assert loaded.distance(u, v) == fresh.distance(u, v)
             assert list(loaded.doors_by_distance(u)) == list(
                 fresh.doors_by_distance(u)
+            )
+
+
+class TestFormat3LabelsFiles:
+    """Format 3 stored labels codec 2 (with build-time door-graph edges);
+    such a file is not quarantined: its distance section is re-derived
+    from the space."""
+
+    def test_loads_without_quarantine_and_answers_like_a_fresh_build(
+        self, labels_framework, tmp_path
+    ):
+        from repro.persist import RecoveryManager, SnapshotStore
+
+        index = labels_framework.distance_index
+        codec_2 = _labels_codec_2(index, labels_framework.space.distance_graph)
+        store = SnapshotStore(tmp_path / "snapshots")
+        path = store.save(labels_framework)
+        path.write_bytes(
+            _as_format(path.read_bytes(), 3, {"labels": codec_2})
+        )
+        assert read_manifest(path)["format_version"] == 3
+        report = RecoveryManager(store).recover()
+        assert report.quarantined == []
+        restored = report.framework
+        loaded = restored.distance_index
+        assert loaded.kind == "labels"
+        assert restored.is_fresh
+        assert len(restored.objects) == len(labels_framework.objects)
+        dense = IndexFramework.build(restored.space).distance_index
+        for u in dense.door_ids:
+            for v in dense.door_ids:
+                assert loaded.distance(u, v) == dense.distance(u, v)
+            assert list(loaded.doors_by_distance(u)) == list(
+                dense.doors_by_distance(u)
+            )
+            assert list(loaded.doors_by_distance(u)) == list(
+                index.doors_by_distance(u)
+            )
+
+    def test_codec_2_no_longer_decodes(self, labels_framework):
+        from repro.exceptions import SerializationError
+        from repro.labels import labels_from_bytes
+
+        index = labels_framework.distance_index
+        with pytest.raises(SerializationError, match="codec version 2"):
+            labels_from_bytes(
+                _labels_codec_2(index, labels_framework.space.distance_graph)
             )
 
 

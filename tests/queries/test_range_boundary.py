@@ -22,6 +22,8 @@ from repro.queries import (
     range_query,
     range_query_with_distances,
 )
+from repro.runtime.ladder import RUNGS, QualityLevel, QueryKind
+from repro.serve.requests import QueryRequest
 from tests.queries.conftest import random_point_in
 
 OBJECTS = 40
@@ -65,3 +67,29 @@ def test_radius_at_an_objects_distance(framework, use_index, seed, object_id):
         )
         assert sorted(o for o, _ in with_distances) == expected, (q, r)
     assert object_id in range_query(framework, q, d, use_index=use_index)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    object_id=st.integers(min_value=0, max_value=OBJECTS - 1),
+)
+def test_fallback_rung_admits_exactly_like_range_query(
+    framework, seed, object_id
+):
+    """The ladder's EXACT_FALLBACK rung (per-object Algorithm 3) uses the
+    same exact ``<=`` as ``range_query``, so both answer alike at the
+    sharpest radii: an object's own distance and the float just below."""
+    space = framework.space
+    q = random_point_in(space, random.Random(seed))
+    d = pt2pt_distance_memoized(
+        space, q, framework.objects.get(object_id).position
+    )
+    if math.isinf(d):
+        return
+    fallback = RUNGS[QueryKind.RANGE][QualityLevel.EXACT_FALLBACK]
+    for r in (d, math.nextafter(d, 0.0), 2 * d):
+        request = QueryRequest.range_query(q, r)
+        assert fallback(framework, request, None) == range_query(
+            framework, q, r
+        ), (q, r)

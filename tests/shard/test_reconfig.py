@@ -153,6 +153,10 @@ class TestRollingRounds:
             recorder.add_door(DOOR, DOOR_GEOMETRY, connects=DOOR_CONNECTS)
             target = framework.space.topology_epoch
             assert service.framework.build_config["backend"] == "labels"
+            # The re-add took the repair path, not a silent rebuild.
+            assert service.framework.distance_index.patches.patch_ids == (
+                DOOR,
+            )
             _assert_bit_identical(service, shard_positions, epoch=target)
         finally:
             service.shutdown()
@@ -174,6 +178,41 @@ class TestRollingRounds:
             _assert_bit_identical(service, shard_positions, epoch=base_epoch)
         finally:
             service.shutdown()
+
+
+class TestStageFramework:
+    """A worker's prepare stages through ``IndexFramework.rebuild`` on a
+    private copy of its space, and its ack names the path taken."""
+
+    @pytest.mark.parametrize(
+        "backend, mutation, how",
+        [
+            ("labels", "add_door", "repair"),
+            ("labels", "remove_door", "rebuild"),
+            ("matrix", "add_door", "rebuild"),
+        ],
+    )
+    def test_prepare_names_the_path(self, tmp_path, backend, mutation, how):
+        from repro.persist.wal import TopologyWAL, WalRecorder
+        from repro.shard.reconfig import stage_framework
+
+        framework = IndexFramework.build(build_figure1(), backend=backend)
+        recorder = WalRecorder(
+            build_figure1(), TopologyWAL(tmp_path / "wal.log", fsync=False)
+        )
+        if mutation == "add_door":
+            recorder.add_door(
+                99, Segment(Point(4.0, 7.0), Point(4.0, 8.0)), connects=(12, 11)
+            )
+        else:
+            recorder.remove_door(DOOR)
+        staged, detail = stage_framework(
+            framework, [recorder.last_record], backend
+        )
+        assert detail == how
+        assert staged.is_fresh
+        assert staged.space.topology_epoch == 1
+        assert framework.space.topology_epoch == 0
 
 
 class TestTornRounds:
