@@ -240,6 +240,19 @@ class CampaignConfig:
         )
 
 
+def _inexact_detail(response: QueryResponse) -> str:
+    """Why a probe answer was not exact: its rung, plus what the serving
+    tier says about it (shards that did not answer, the epochs of those
+    that did, and the breaker/shed/cache routing flags)."""
+    return (
+        f"served at {response.quality.name} "
+        f"(missing_shards={list(response.missing_shards)}, "
+        f"reply_epochs={list(response.reply_epochs)}, "
+        f"breaker={response.breaker}, shed={response.shed}, "
+        f"cached={response.cached})"
+    )
+
+
 class CampaignRunner:
     """Run one deterministic chaos campaign and report on it."""
 
@@ -780,9 +793,7 @@ class CampaignRunner:
                 )
                 continue
             if not response.quality.is_exact:
-                failures.append(
-                    f"op {op.index} served at {response.quality.name}"
-                )
+                failures.append(f"op {op.index} {_inexact_detail(response)}")
                 continue
             if differential is not None:
                 try:

@@ -18,7 +18,7 @@ from repro.exceptions import GeometryError
 EPSILON = 1e-9
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Point:
     """An indoor position: planar coordinates on a given floor.
 

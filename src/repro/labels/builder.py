@@ -95,13 +95,13 @@ def invert_by_hub(
     n: int, indptr: np.ndarray, hubs: np.ndarray, dists: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Hub-inverted view of a label CSR: for each hub, the nodes carrying
-    it and their distances.  Deterministically derived (stable sort), so it
-    is rebuilt on snapshot load rather than serialized."""
+    it and their distances, each hub's segment sorted by ``(distance,
+    node)`` so scans can merge it nearest-first.  Deterministically
+    derived, so it is rebuilt on snapshot load rather than serialized."""
     nodes = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-    order = np.argsort(hubs, kind="stable")
-    sorted_hubs = hubs[order]
+    order = np.lexsort((nodes, dists, hubs))
     inv_indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(sorted_hubs, minlength=n), out=inv_indptr[1:])
+    np.cumsum(np.bincount(hubs, minlength=n), out=inv_indptr[1:])
     return inv_indptr, nodes[order], dists[order]
 
 
@@ -115,8 +115,10 @@ def materialize_row(
     inv_in_nodes: np.ndarray,
     inv_in_dists: np.ndarray,
 ) -> np.ndarray:
-    """The full label-answer row d(u, ·): for every hub g in L_out(u), relax
-    d(u,g) + d(g,v) over the nodes v carrying g in L_in(v)."""
+    """The full label-answer row d(u, ·) over ``n`` nodes: for every hub g
+    in L_out(u), relax d(u,g) + d(g,v) over the nodes v carrying g in
+    L_in(v) (``inv_in_nodes`` may already be renumbered into a larger
+    index space)."""
     row = np.full(n, np.inf)
     for k in range(int(out_indptr[u]), int(out_indptr[u + 1])):
         g = int(out_hubs[k])

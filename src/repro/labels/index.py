@@ -11,20 +11,21 @@ A query ``d(u, v)`` is::
     min over hubs h in L_out(u) ∩ L_in(v) of d(u,h) + d(h,v)
     → min'ed against the incremental-repair patch hubs, if any
 
-Nearest-first scans (``doors_by_distance``) materialise one full distance
-row per source door — an O(label entries touching u) vectorised join —
-and keep recently used rows in a small locked LRU so repeated scans from
-the same doors (the common query pattern: algorithms expand from the few
-doors of the host partition) stay cheap.
+Nearest-first scans (``doors_by_distance``) never build a distance row:
+they merge the source's hubs lazily, one cursor per hub over its
+inverted in-label sorted by ``(distance, node)``, so a scan that stops
+after a few dozen doors touches a few dozen label entries per hub.  The
+set-to-set minimum (``min_distance_between``) is one hub scatter and one
+in-label sweep.  Nothing is cached: every answer reads the label arrays
+as they stand.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -38,9 +39,14 @@ from repro.labels.builder import (
 )
 from repro.labels.hierarchy import VertexHierarchy
 
-#: Distance rows kept resident per index (each row is N floats plus its
-#: stable argsort order, so the cache is bounded at ``2 × 16N × this``).
-ROW_CACHE_LIMIT = 64
+def _segments(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Positions of the CSR segments of ``rows``, concatenated."""
+    starts = indptr[rows]
+    lengths = indptr[rows + 1] - starts
+    ends = np.cumsum(lengths)
+    return np.arange(int(ends[-1]) if len(ends) else 0, dtype=np.int64) + (
+        np.repeat(starts - (ends - lengths), lengths)
+    )
 
 
 @dataclass(frozen=True)
@@ -108,13 +114,36 @@ class LabeledDistanceIndex:
             base_n, dtype=np.int64
         )
 
-        self._inv_in = invert_by_hub(
+        inv_indptr, inv_nodes, inv_dists = invert_by_hub(
             base_n, labeling.in_indptr, labeling.in_hubs, labeling.in_dists
         )
-        self._lock = threading.Lock()
-        self._row_cache: "OrderedDict[int, Tuple[np.ndarray, np.ndarray]]" = (
-            OrderedDict()
+        if patches is not None:
+            # Renumber into current indices; the map is monotone, so each
+            # hub segment stays sorted by (distance, node).
+            inv_nodes = self._base_pos[inv_nodes]
+        self._inv_in = (inv_indptr, inv_nodes, inv_dists)
+        # Scans read the arrays element-wise through memoryviews: no list
+        # copies, and in-place writes (fault injection) show at once.
+        self._out_views = tuple(
+            memoryview(a)
+            for a in (labeling.out_indptr, labeling.out_hubs, labeling.out_dists)
         )
+        self._inv_views = tuple(memoryview(a) for a in self._inv_in)
+        # Patch hub k's cursor walks its finite d(patch_k, ·) in
+        # (distance, index) order.
+        self._patch_views: Tuple[Tuple[memoryview, memoryview, int], ...] = ()
+        if patches is not None:
+            order = np.argsort(patches.fwd, axis=1, kind="stable")
+            ranked = np.take_along_axis(patches.fwd, order, axis=1)
+            self._patch_order = (order, ranked)
+            self._patch_views = tuple(
+                (
+                    memoryview(order[k]),
+                    memoryview(ranked[k]),
+                    int(np.isfinite(ranked[k]).sum()),
+                )
+                for k in range(len(patches.patch_ids))
+            )
 
     # ------------------------------------------------------------------
     # Construction
@@ -208,21 +237,101 @@ class LabeledDistanceIndex:
     def doors_by_distance(
         self, from_door: int, max_distance: Optional[float] = None
     ) -> Iterator[Tuple[int, float]]:
-        """Yield ``(door_id, distance)`` nearest-first — same ordering as
-        the dense M_idx scan (stable argsort of an identical row)."""
-        row, order = self._row(self._resolve(from_door))
+        """Yield ``(door_id, distance)`` nearest-first — the dense M_idx
+        scan order (stable argsort of an identical row), merged lazily
+        from the labels.
+
+        One cursor per hub g in L_out(u) walks g's inverted in-label
+        segment, already sorted by ``(d(g,v), v)``; keyed
+        ``(d(u,g) + d(g,v), v)`` the cursors merge in a heap, and float
+        addition is monotone, so each door's first pop carries its minimum
+        over hubs.  Patch hubs are extra cursors.  ``u`` itself sits at
+        exactly 0.0, as in the matrix.  Doors poisoned by a NaN label
+        entry come last, in index order, and only when no door is
+        unreachable — where a stable argsort puts NaN after inf.
+        """
+        i = self._resolve(from_door)
+        heap, poisoned = self._scan_heap(i)
+        done = set(poisoned)
+        done.add(i)
+        limit = math.inf if max_distance is None else max_distance
         ids = self._door_ids
-        for j in order:
-            dist = float(row[j])
-            if math.isinf(dist):
-                break
-            if max_distance is not None and dist > max_distance:
-                break
-            yield ids[j], dist
+        yielded = 0
+        while heap:
+            key, v, sid, pos, stop, offset, nodes, dists = heap[0]
+            pos += 1
+            while pos < stop and nodes[pos] in done:
+                pos += 1
+            if pos < stop:
+                heapq.heapreplace(
+                    heap,
+                    (
+                        offset + dists[pos], nodes[pos], sid, pos, stop,
+                        offset, nodes, dists,
+                    ),
+                )
+            else:
+                heapq.heappop(heap)
+            if sid >= 0:
+                if v in done:
+                    continue
+                done.add(v)
+            # Only a live door may end the scan: a yielded or poisoned
+            # door's leftover cursor says nothing about the rest.
+            if key > limit:
+                return
+            yielded += 1
+            yield ids[v], key
+        if poisoned and yielded + len(poisoned) == len(ids):
+            for v in sorted(poisoned):
+                yield ids[v], math.nan
+
+    def _scan_heap(self, i: int) -> Tuple[List[tuple], Set[int]]:
+        """The cursor heap of a scan from current index ``i``, and the
+        doors a NaN hub distance d(u, g) poisons.
+
+        A cursor is ``(key, door, sid, pos, stop, offset, nodes, dists)``
+        with ``key = offset + dists[pos]`` for ``door = nodes[pos]``;
+        ``sid`` is unique per cursor (so heap comparisons never reach the
+        arrays), and -1 marks ``u``'s own entry, which has no successor.
+        """
+        heap: List[tuple] = []
+        poisoned: Set[int] = set()
+        out_indptr, out_hubs, out_dists = self._out_views
+        bi = int(self._current_to_base[i])
+        if bi >= 0:
+            inv_indptr, inv_nodes, inv_dists = self._inv_views
+            for k in range(out_indptr[bi], out_indptr[bi + 1]):
+                g = out_hubs[k]
+                offset = out_dists[k]
+                pos, stop = inv_indptr[g], inv_indptr[g + 1]
+                if offset != offset:
+                    poisoned.update(inv_nodes[pos:stop])
+                elif pos < stop:
+                    heap.append((
+                        offset + inv_dists[pos], inv_nodes[pos], k, pos, stop,
+                        offset, inv_nodes, inv_dists,
+                    ))
+            # d(u, u) is pinned to 0.0 whatever the hub sums say.
+            poisoned.discard(i)
+        if self._patches is not None:
+            sid = len(out_hubs)
+            bwd = self._patches.bwd
+            for k, (nodes, dists, stop) in enumerate(self._patch_views):
+                offset = float(bwd[k, i])
+                if stop and offset < math.inf:
+                    heap.append((
+                        offset + dists[0], nodes[0], sid + k, 0, stop,
+                        offset, nodes, dists,
+                    ))
+        heap.append((0.0, i, -1, 0, 0, 0.0, None, None))
+        heapq.heapify(heap)
+        return heap, poisoned
 
     def doors_unsorted(self, from_door: int) -> Iterator[Tuple[int, float]]:
-        """Yield reachable ``(door_id, distance)`` in door-id order."""
-        row, _ = self._row(self._resolve(from_door))
+        """Yield reachable ``(door_id, distance)`` in door-id order — the
+        no-index baseline, which reads a whole row built for this call."""
+        row = self._dense_row(self._resolve(from_door))
         for j, door_id in enumerate(self._door_ids):
             dist = float(row[j])
             if math.isinf(dist):
@@ -243,7 +352,15 @@ class LabeledDistanceIndex:
     def min_distance_between(
         self, from_doors: Sequence[int], to_doors: Sequence[int]
     ) -> float:
-        """Set-to-set lower bound (equals the dense submatrix minimum)."""
+        """Set-to-set lower bound (equals the dense submatrix minimum).
+
+        Scatters ``min over s of d(s,h)`` into a hub array, then scans each
+        target's in-label against it — exact because float addition is
+        monotone, at O(|S|·L + |T|·L).  A source label holding a negative or
+        NaN entry (a corrupted index) falls back to folding one row per
+        source, which keeps the matrix's pinned 0.0 diagonal and NaN
+        behaviour.
+        """
         try:
             rows = [self._index_of[d] for d in from_doors]
             cols = [self._index_of[d] for d in to_doors]
@@ -251,57 +368,65 @@ class LabeledDistanceIndex:
             raise UnknownEntityError("door", exc.args[0]) from None
         if not rows or not cols:
             return math.inf
-        col_idx = np.asarray(cols, dtype=np.int64)
-        best = math.inf
-        for i in rows:
-            row, _ = self._row(i)
-            best = min(best, float(row[col_idx].min()))
+        best = self._label_minimum(rows, cols)
+        if best is None:
+            col_idx = np.asarray(cols, dtype=np.int64)
+            best = math.inf
+            for i in rows:
+                best = min(best, float(self._dense_row(i)[col_idx].min()))
         return best
 
-    # ------------------------------------------------------------------
-    # Row materialisation + cache
-    # ------------------------------------------------------------------
+    def _label_minimum(
+        self, rows: Sequence[int], cols: Sequence[int]
+    ) -> Optional[float]:
+        """The hub-merge minimum over ``rows × cols``, or ``None`` when a
+        source's L_out holds a negative or NaN distance (fault injection
+        poisons L_out only)."""
+        lab = self._labeling
+        best = 0.0 if not set(rows).isdisjoint(cols) else math.inf
+        sources = self._current_to_base[np.asarray(rows, dtype=np.int64)]
+        targets = self._current_to_base[np.asarray(cols, dtype=np.int64)]
+        out_at = _segments(lab.out_indptr, sources[sources >= 0])
+        in_at = _segments(lab.in_indptr, targets[targets >= 0])
+        out_d = lab.out_dists[out_at]
+        if not (out_d >= 0).all():
+            return None
+        if len(out_d) and len(in_at):
+            hub_min = np.full(len(self._base_door_ids), np.inf)
+            np.minimum.at(hub_min, lab.out_hubs[out_at], out_d)
+            best = min(
+                best,
+                float(np.min(hub_min[lab.in_hubs[in_at]] + lab.in_dists[in_at])),
+            )
+        if self._patches is not None:
+            to_patch = self._patches.bwd[:, rows].min(axis=1)
+            from_patch = self._patches.fwd[:, cols].min(axis=1)
+            best = min(best, float(np.min(to_patch + from_patch)))
+        return best
+
     def _resolve(self, door_id: int) -> int:
         try:
             return self._index_of[door_id]
         except KeyError:
             raise UnknownEntityError("door", door_id) from None
 
-    def _row(self, i: int) -> Tuple[np.ndarray, np.ndarray]:
-        """The full (distances, stable scan order) pair for current index
-        ``i``, through the LRU."""
-        with self._lock:
-            cached = self._row_cache.get(i)
-            if cached is not None:
-                self._row_cache.move_to_end(i)
-                return cached
-        # Materialise outside the lock: rows are deterministic, so a racing
-        # duplicate computation is wasted work, never wrong data.
-        row = self._materialize(i)
-        order = np.argsort(row, kind="stable")
-        entry = (row, order)
-        with self._lock:
-            self._row_cache[i] = entry
-            self._row_cache.move_to_end(i)
-            while len(self._row_cache) > ROW_CACHE_LIMIT:
-                self._row_cache.popitem(last=False)
-        return entry
-
-    def _materialize(self, i: int) -> np.ndarray:
-        n = len(self._door_ids)
-        row = np.full(n, np.inf)
+    def _dense_row(self, i: int) -> np.ndarray:
+        """The full distance row d(u, ·) for current index ``i``, built for
+        one call (only the no-index baseline and the corrupted-label
+        fallback read whole rows)."""
         bi = int(self._current_to_base[i])
-        if bi >= 0:
+        if bi < 0:
+            row = np.full(len(self._door_ids), np.inf)
+        else:
             lab = self._labeling
-            base_row = materialize_row(
+            row = materialize_row(
                 bi,
-                len(self._base_door_ids),
+                len(self._door_ids),
                 lab.out_indptr,
                 lab.out_hubs,
                 lab.out_dists,
                 *self._inv_in,
             )
-            row[self._base_pos] = base_row
         row[i] = 0.0
         if self._patches is not None:
             d_to_patch = self._patches.bwd[:, i]
@@ -309,22 +434,11 @@ class LabeledDistanceIndex:
                 row = np.minimum(row, d_to_patch[k] + self._patches.fwd[k])
         return row
 
-    def drop_row_cache(self) -> None:
-        """Discard every cached distance row.
-
-        Fault injection mutates the label arrays in place; cached rows
-        materialised before the mutation would otherwise keep serving the
-        pre-fault (or pre-undo) values.
-        """
-        with self._lock:
-            self._row_cache.clear()
-
     # ------------------------------------------------------------------
     # Accounting + integrity
     # ------------------------------------------------------------------
     def memory_bytes(self) -> int:
-        """Resident bytes: labels + hierarchy + patches + the current row
-        cache."""
+        """Resident bytes: labels + hierarchy + patches."""
         report = self.memory_report()
         return int(sum(v for k, v in report.items() if k.endswith("_bytes")))
 
@@ -343,21 +457,15 @@ class LabeledDistanceIndex:
         hierarchy_bytes = int(
             self._hierarchy.levels.nbytes + self._hierarchy.order.nbytes
         )
-        patch_bytes = (
-            0 if self._patches is None else self._patches.memory_bytes()
-        )
-        with self._lock:
-            cache_bytes = int(
-                sum(
-                    row.nbytes + order.nbytes
-                    for row, order in self._row_cache.values()
-                )
+        patch_bytes = 0
+        if self._patches is not None:
+            patch_bytes = self._patches.memory_bytes() + int(
+                sum(a.nbytes for a in self._patch_order)
             )
         return {
             "labels_bytes": label_bytes,
             "hierarchy_bytes": hierarchy_bytes,
             "patches_bytes": patch_bytes,
-            "row_cache_bytes": cache_bytes,
             "label_entries": self._labeling.entry_count,
             "patch_hubs": self.patch_count,
         }

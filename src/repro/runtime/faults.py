@@ -155,9 +155,10 @@ def corrupt_labels(
     """Poison ``count`` stored L_out hub distances of a labels backend.
 
     The labels sibling of :func:`corrupt_md2d`.  L_out entries feed both
-    the pair-query hub intersection and the materialised scan rows, so one
-    poisoned entry is visible to ``distance`` and ``doors_by_distance``
-    alike.  ``"nan"`` and ``"negative"`` violations are caught by the
+    the pair-query hub intersection and the hub-merge scans, which read
+    the arrays in place, so one poisoned entry is visible to ``distance``
+    and ``doors_by_distance`` alike, from the next call on.  ``"nan"``
+    and ``"negative"`` violations are caught by the
     backend's :meth:`self_check` (and hence ``check_index_integrity``);
     ``"skew"`` shifts a distance by a finite amount and is only observable
     differentially — exactly the adversary the chaos
@@ -194,12 +195,10 @@ def corrupt_labels(
             dists[k] = -abs(dists[k]) - 1.0
         else:  # skew: finite shift, silently wrong answers
             dists[k] = dists[k] + 7.5
-    index.drop_row_cache()
 
     def restore() -> None:
         for k, value in saved:
             dists[k] = value
-        index.drop_row_cache()
 
     return FaultHandle(
         f"corrupt_labels(mode={mode}, count={count}, seed={seed})",

@@ -527,10 +527,15 @@ class ShardSupervisor:
         self.metrics.increment("shard.supervisor.spawns")
 
     def await_ready(self, timeout: Optional[float] = None) -> bool:
-        """Block until every non-FAILED shard is READY (True on success)."""
+        """Block until every non-FAILED shard is READY (True on success).
+
+        A READY slot whose worker has already died counts as restarting:
+        the monitor only buries a crashed worker on its next pass, and
+        until then the slot still reads READY.
+        """
         deadline = time.monotonic() + (timeout if timeout is not None else 3600.0)
         while time.monotonic() < deadline:
-            states = self.states()
+            states = self._settled_states()
             if any(
                 s in (ShardState.STARTING, ShardState.RESTARTING)
                 for s in states.values()
@@ -539,6 +544,21 @@ class ShardSupervisor:
                 continue
             return all(s is ShardState.READY for s in states.values())
         return False
+
+    def _settled_states(self) -> Dict[int, ShardState]:
+        """:meth:`states`, with a READY slot whose worker is gone read as
+        RESTARTING (what the monitor's next pass will make it)."""
+        with self._lock:
+            states = {}
+            for sid, slot in self._slots.items():
+                state = slot.state
+                incarnation = slot.incarnation
+                if state is ShardState.READY and (
+                    incarnation.dead or not incarnation.process.is_alive()
+                ):
+                    state = ShardState.RESTARTING
+                states[sid] = state
+            return states
 
     def stop(self) -> None:
         """Drain and stop every worker, then the monitor."""

@@ -1,5 +1,6 @@
 """The campaign engine end-to-end: determinism, the composed standard
-campaign, and the silent-wrong-answer demonstration."""
+campaign, the silent-wrong-answer demonstration, and what a failed final
+probe reports."""
 
 import pytest
 
@@ -11,6 +12,10 @@ from repro.chaos import (
     FaultPlan,
     IncidentClass,
 )
+from repro.model.figure1 import build_figure1
+from repro.runtime.ladder import QualityLevel
+from repro.serve.requests import QueryResponse
+from repro.synthetic.workload import query_workload
 
 CORRUPT_ONLY = FaultPlan([
     FaultAction(
@@ -126,3 +131,35 @@ class TestConfigAndReportRoundtrips:
     def test_unknown_building_rejected(self):
         with pytest.raises(ValueError, match="unknown building"):
             _run(building="escher")
+
+
+class _DegradedService:
+    """A serving tier stub whose every answer is a partial sharded one."""
+
+    def execute(self, request):
+        return QueryResponse(
+            request=request,
+            value=[],
+            quality=QualityLevel.EUCLIDEAN,
+            served_epoch=2,
+            breaker=True,
+            missing_shards=(1,),
+            reply_epochs=(2, 3),
+        )
+
+
+class TestFinalProbe:
+    def test_inexact_answer_names_why(self):
+        """A failed probe says which shards were missing, which epochs
+        replied and how the request was routed, not only the rung."""
+        runner = CampaignRunner(CampaignConfig(duration_ops=5))
+        runner._service = _DegradedService()
+        ops = query_workload(build_figure1(), 2, seed=0)
+        runner._final_probe(ops, None)
+        (incident,) = runner._incidents
+        assert incident.classification is IncidentClass.UNRECOVERED
+        assert incident.detail == "; ".join(
+            f"op {op.index} served at EUCLIDEAN (missing_shards=[1], "
+            "reply_epochs=[2, 3], breaker=True, shed=False, cached=False)"
+            for op in ops
+        )

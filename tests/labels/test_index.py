@@ -162,12 +162,3 @@ class TestAccounting:
             )
         finally:
             dists[finite[0]] = keep
-
-    def test_drop_row_cache(self, figure1_pair):
-        labels, _ = figure1_pair
-        index = labels.distance_index
-        u = index.door_ids[0]
-        list(index.doors_by_distance(u))
-        assert index.memory_report()["row_cache_bytes"] > 0
-        index.drop_row_cache()
-        assert index.memory_report()["row_cache_bytes"] == 0

@@ -180,3 +180,41 @@ class TestPartialFailure:
         assert response.value == pytest.approx(
             _engine_answer(engine, request)
         )
+
+
+def test_await_healthy_waits_out_a_dead_ready_worker(
+    shard_framework_fixture, shard_positions
+):
+    """A worker killed a moment ago still reads READY until the monitor's
+    next pass; ``await_healthy`` must wait for its replacement instead of
+    handing the fleet back with a corpse in it."""
+    service = make_service(
+        shard_framework_fixture,
+        shards=2,
+        cache_capacity=0,
+        heartbeat_interval=1.0,  # a wide window before the monitor looks
+        liveness_timeout=10.0,
+    )
+    service.start(wait=True)
+    try:
+        supervisor = service._supervisor
+        with supervisor._lock:
+            corpse = supervisor._slots[0].incarnation
+        service.kill_shard(0)
+        deadline = time.monotonic() + 5.0
+        while not corpse.dead and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert corpse.dead
+        assert service.await_healthy(30.0)
+        shard = service.readiness()["supervision"]["shards"]["0"]
+        assert shard["state"] == "ready"
+        assert shard["restarts"] == 1
+        assert shard["pid"] != corpse.process.pid
+        service.reset_breakers()
+        response = service.execute(
+            QueryRequest.range_query(shard_positions[0], 50.0)
+        )
+        assert response.missing_shards == ()
+        assert response.quality is QualityLevel.EXACT_INDEXED
+    finally:
+        service.shutdown()
